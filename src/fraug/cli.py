@@ -87,7 +87,7 @@ def _dump_spectrum(original, augmented, names, path):
         for k in range(len(amps_orig[0])):
             row = [k]
             for c in range(len(names)):
-                row += [repr(amps_orig[c][k]), repr(amps_aug[c][k])]
+                row += [repr(float(amps_orig[c][k])), repr(float(amps_aug[c][k]))]
             writer.writerow(row)
 
 
@@ -269,7 +269,6 @@ def build_parser():
     p.add_argument("--rate", type=float, default=None)
     p.add_argument("--fraction", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_run)
     return parser

@@ -42,6 +42,8 @@ class ExperimentReport:
     seeds: list
     cells: list = field(default_factory=list)
     chosen_rates: dict = field(default_factory=dict)
+    # Per-rate validation MSE of each grid search, keyed like chosen_rates.
+    rate_val_mse: dict = field(default_factory=dict)
     wall_clock_s: float = 0.0
 
     def median_mse(self, kind, h):
@@ -51,7 +53,7 @@ class ExperimentReport:
         return float(np.median(vals))
 
     def to_json(self):
-        return json.dumps(asdict(self), indent=2, default=_jsonable)
+        return json.dumps(asdict(self), indent=2, default=_jsonable, allow_nan=False)
 
     def summary_lines(self):
         lines = [f"protocol={self.protocol} dataset={self.dataset_id} b={self.b}"]
@@ -82,12 +84,13 @@ def cross_validate_rate(ds, b, h, kind, grid=RATE_GRID, cfg=None, seed=0):
     """Pick the rate minimizing validation MSE; ties go to the smaller rate.
 
     One model is trained per rate with batch-wise augmentation; the test
-    split is never touched.
+    split is never touched. Training runs under `seed`, which overrides
+    cfg.seed as the protocol runners do for their seeds.
     """
     grid = sorted(grid)
     if not grid:
         raise ValueError("empty rate grid")
-    cfg = cfg or TrainConfig(seed=seed)
+    cfg = TrainConfig(**{**asdict(cfg or TrainConfig()), "seed": seed})
     train_samples = make_windows(ds, "train", b, h)
     val_samples = make_windows(ds, "val", b, h)
     per_rate = {}
@@ -127,9 +130,9 @@ def run_longterm(ds, horizons, kinds, b=96, cfg=None, seeds=(0,),
             if kind == "none":
                 rate = 0.0
             elif select_rates:
-                rate, _ = cross_validate_rate(
-                    ds, b, h, kind, grid=rate_grid,
-                    cfg=cfg or TrainConfig(seed=seeds[0]), seed=seeds[0])
+                rate, per_rate = cross_validate_rate(ds, b, h, kind, grid=rate_grid,
+                                                     cfg=cfg, seed=seeds[0])
+                report.rate_val_mse[f"{kind}/{h}"] = {r: m.mse for r, m in per_rate.items()}
             else:
                 rate = fixed_rate
             report.chosen_rates[f"{kind}/{h}"] = rate
@@ -239,7 +242,7 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
         for seed in seeds:
             run_cfg = cfg or TrainConfig()
             run_cfg = TrainConfig(**{**asdict(run_cfg), "seed": seed})
-            part_losses = []
+            part_losses, part_maes = [], []
             for i in range(1, parts):
                 train_lo = 0
                 train_hi = bounds[i - 1][1]
@@ -274,13 +277,14 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
                 model, _ = train(model, train_set, val_samples, run_cfg, aug=None)
                 m = evaluate(model, test_samples)
                 part_losses.append(m.mse)
+                part_maes.append(m.mae)
             report.chosen_rates[f"{kind}/{h}"] = rate if kind != "none" else 0.0
             report.cells.append(CellResult(
                 kind=kind, h=h, seed=seed,
                 rate=rate if kind != "none" else 0.0,
                 mse=float(np.mean(part_losses)),
-                mae=float("nan"),
-                extra={"part_losses": part_losses,
+                mae=float(np.mean(part_maes)),
+                extra={"part_losses": part_losses, "part_maes": part_maes,
                        "copy_schedule": ttt_copy_schedule(parts - 1)},
             ))
     report.wall_clock_s = time.time() - t0

@@ -2,10 +2,17 @@
 
 Forward transform is unscaled, the inverse carries the 1/N factor.
 Lengths that factor into {2, 3, 5, 7} go through a mixed-radix
-Cooley-Tukey recursion; anything else falls back to Bluestein's
-chirp-z algorithm, so non-power-of-two window sizes (192, 288, 432,
-816, ...) are handled exactly. The transform kernels are vectorized
-over leading axes so a whole batch of channels is transformed at once.
+Cooley-Tukey recursion with one recursive call per radix level: the
+input is viewed as p interleaved subsequences, all transformed by that
+one call, then combined with a cached twiddle table and one p x p DFT
+matrix product (radix 4 goes before 2, halving the levels for powers
+of two). Lengths up to _DIRECT_N, smooth or not, use a direct DFT
+matrix. Longer lengths that do not factor fall back to Bluestein's
+chirp-z algorithm, whose chirp and kernel spectrum are cached per
+length, so non-power-of-two window sizes (192, 288, 432, 816, ...) are
+handled exactly. The kernels are vectorized over leading axes so a
+whole batch of channels is transformed at once. Cached tables are
+read-only, so no caller can corrupt later transforms through them.
 """
 
 from dataclasses import dataclass
@@ -13,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-_SMALL_PRIMES = (2, 3, 5, 7)
-_BASE_N = 8  # below this, use a direct DFT matrix
+_RADICES = (4, 2, 3, 5, 7)
+_DIRECT_N = 64  # at or below this, use a direct DFT matrix
 
 
 @dataclass(frozen=True)
@@ -39,59 +46,71 @@ class Spectrum:
             )
 
 
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=None)
 def _dft_matrix(n):
-    jk = np.outer(np.arange(n), np.arange(n))
-    return np.exp(-2j * np.pi * jk / n)
+    # Symmetric, so it serves as its own transpose. Reducing j*k mod n
+    # keeps the phase argument below 2*pi.
+    jk = np.outer(np.arange(n), np.arange(n)) % n
+    return _frozen(np.exp(-2j * np.pi * jk / n))
 
 
 @lru_cache(maxsize=None)
 def _radix_twiddles(n, p):
-    # T[i, q*m + k] = exp(-2j*pi * i * (q*m + k) / n)
-    idx = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(np.arange(p), idx) / n)
+    # T[i, k] = exp(-2j*pi * i * k / n) for i < p, k < n/p
+    return _frozen(np.exp(-2j * np.pi * np.outer(np.arange(p), np.arange(n // p)) / n))
+
+
+@lru_cache(maxsize=None)
+def _bluestein_kernel(n):
+    """Chirp and the FFT of the chirp-z convolution kernel for length n.
+
+    The kernel is padded to the smallest power of two >= 2n - 1, which
+    the radix path handles. k^2 is reduced mod 2n before the exp, since
+    the chirp has that period, so the phase stays accurate for large n.
+    """
+    size = 1 << (2 * n - 2).bit_length()
+    k = np.arange(n)
+    chirp = np.exp(-1j * np.pi * ((k * k) % (2 * n)) / n)
+    b = np.zeros(size, dtype=np.complex128)
+    b[:n] = np.conj(chirp)
+    b[size - n + 1:] = np.conj(chirp[1:][::-1])
+    return _frozen(chirp), _frozen(_fft(b))
 
 
 def _fft(x):
     """Complex FFT along the last axis of x."""
     n = x.shape[-1]
-    if n <= _BASE_N:
-        return x @ _dft_matrix(n).T
-    for p in _SMALL_PRIMES:
+    if n <= _DIRECT_N:
+        return x @ _dft_matrix(n)
+    for p in _RADICES:
         if n % p == 0:
             return _fft_radix(x, p)
     return _fft_bluestein(x)
 
 
 def _fft_radix(x, p):
+    # Decimation in time. Row i of the (..., p, m) view holds x[i::p];
+    # X[q*m + k] = sum_i W_p^(i*q) * W_n^(i*k) * DFT_m(x[i::p])[k].
     n = x.shape[-1]
     m = n // p
-    subs = [_fft(x[..., i::p]) for i in range(p)]
-    tw = _radix_twiddles(n, p)
-    out = np.zeros(x.shape, dtype=np.complex128)
-    for q in range(p):
-        sl = slice(q * m, (q + 1) * m)
-        for i in range(p):
-            out[..., sl] += subs[i] * tw[i, sl]
-    return out
+    subs = _fft(np.swapaxes(x.reshape(x.shape[:-1] + (m, p)), -1, -2))
+    out = _dft_matrix(p) @ (subs * _radix_twiddles(n, p))
+    return out.reshape(x.shape)
 
 
 def _fft_bluestein(x):
     n = x.shape[-1]
-    # Chirp-z: reduce the length-n DFT to a circular convolution at a
-    # power-of-two length, which the radix-2 path handles.
-    size = 1
-    while size < 2 * n - 1:
-        size *= 2
-    k = np.arange(n)
-    chirp = np.exp(-1j * np.pi * k * k / n)
-    a = np.zeros(x.shape[:-1] + (size,), dtype=np.complex128)
+    # Chirp-z: the length-n DFT as a circular convolution with the
+    # cached kernel at a power-of-two length.
+    chirp, kernel = _bluestein_kernel(n)
+    a = np.zeros(x.shape[:-1] + kernel.shape, dtype=np.complex128)
     a[..., :n] = x * chirp
-    b = np.zeros(size, dtype=np.complex128)
-    b[:n] = np.conj(chirp)
-    b[size - n + 1:] = np.conj(chirp[1:][::-1])
-    conv = _ifft(_fft(a) * _fft(b))
-    return chirp * conv[..., :n]
+    return chirp * _ifft(_fft(a) * kernel)[..., :n]
 
 
 def _ifft(x):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -6,10 +7,28 @@ import pytest
 from fraug.cli import main
 from fraug.dataset import load_csv
 from fraug.forecaster import DLinearModel
+from fraug.spectral import amplitude_spectrum, rfft
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def read_spectrum_csv(path, n):
+    """Parse a spectrum dump strictly: int bin index, then plain floats."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(rows) == n // 2 + 1
+    values = []
+    for k, row in enumerate(rows):
+        assert len(row) == len(header)
+        assert int(row[0]) == k
+        values.append([float(cell) for cell in row[1:]])
+    return header, np.array(values)
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def make_series(tmp_path, name="series.csv", length=400, channels=2, noise=0.3):
@@ -63,6 +82,20 @@ class TestAugment:
         assert lines[0] == "bin,ch0_original,ch0_augmented"
         assert len(lines) == 1 + 400 // 2 + 1  # header + floor(N/2)+1 bins
 
+    def test_dump_spectrum_strict_floats(self, tmp_path):
+        src = make_series(tmp_path, length=401)
+        out = tmp_path / "aug.csv"
+        spec = tmp_path / "spec.csv"
+        assert run_cli("augment", "--in", str(src), "--out", str(out),
+                       "--dump-spectrum", str(spec)) == 0
+        header, values = read_spectrum_csv(spec, 401)
+        assert header == ["bin", "ch0_original", "ch0_augmented",
+                          "ch1_original", "ch1_augmented"]
+        orig, aug = load_csv(src).values, load_csv(out).values
+        for c in range(2):
+            assert np.array_equal(values[:, 2 * c], amplitude_spectrum(rfft(orig[c])))
+            assert np.array_equal(values[:, 2 * c + 1], amplitude_spectrum(rfft(aug[c])))
+
     def test_mix_kind_runs(self, tmp_path):
         src = make_series(tmp_path)
         out = tmp_path / "aug.csv"
@@ -85,6 +118,15 @@ class TestSpectrum:
         for row in rows:
             _, a, b = row.split(",")
             assert a == b
+
+    def test_strict_floats(self, tmp_path):
+        src = make_series(tmp_path, length=400, channels=2)
+        out = tmp_path / "spec.csv"
+        assert run_cli("spectrum", "--in", str(src), "--out", str(out)) == 0
+        _, values = read_spectrum_csv(out, 400)
+        assert values.shape == (201, 4)
+        values_ch0 = amplitude_spectrum(rfft(load_csv(src).values[0]))
+        assert np.array_equal(values[:, 0], values_ch0)
 
 
 class TestTrain:
@@ -160,6 +202,28 @@ class TestRun:
         parts = (out_dir / "ttt_parts.csv").read_text().splitlines()
         assert parts[0] == "kind,h,seed,part,test_mse"
         assert len(parts) == 3  # control only, parts-1 rounds
+
+    def test_ttt_report_is_strict_json(self, tmp_path):
+        src = make_series(tmp_path, length=600)
+        out_dir = tmp_path / "runT"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "protocol": "ttt", "dataset": str(src), "lookback": 8,
+            "horizons": [4], "kinds": ["freq_mask"], "parts": 3, "epochs": 2,
+            "out": str(out_dir),
+        }))
+        assert run_cli("run", "--config", str(config)) == 0
+        report = json.loads((out_dir / "report.json").read_text(),
+                            parse_constant=reject_constant)
+        assert [c["kind"] for c in report["cells"]] == ["none", "freq_mask"]
+        for cell in report["cells"]:
+            assert len(cell["extra"]["part_maes"]) == 2
+            assert cell["mae"] == pytest.approx(np.mean(cell["extra"]["part_maes"]))
+
+    def test_jobs_flag_removed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("run", "--dataset", str(tmp_path / "x.csv"), "--jobs", "2")
+        assert "--jobs" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -100,6 +100,19 @@ class TestLongterm:
                            cfg=quick_cfg(), select_rates=True, rate_grid=(0.1, 0.2))
         assert rep.chosen_rates["freq_mask/8"] in (0.1, 0.2)
 
+    def test_rate_selection_runs_under_first_seed(self):
+        ds = small_dataset()
+        grid = (0.1, 0.3)
+        rep = run_longterm(ds, horizons=[8], kinds=["freq_mask"], b=16,
+                           cfg=quick_cfg(), seeds=(3,), select_rates=True,
+                           rate_grid=grid)
+        _, seed3 = cross_validate_rate(ds, 16, 8, "freq_mask", grid=grid,
+                                       cfg=quick_cfg(), seed=3)
+        _, seed0 = cross_validate_rate(ds, 16, 8, "freq_mask", grid=grid,
+                                       cfg=quick_cfg(), seed=0)
+        assert rep.rate_val_mse["freq_mask/8"] == {r: m.mse for r, m in seed3.items()}
+        assert rep.rate_val_mse["freq_mask/8"] != {r: m.mse for r, m in seed0.items()}
+
     def test_json_round_trip(self):
         ds = small_dataset()
         rep = run_longterm(ds, horizons=[8], kinds=["freq_mask"], b=16,

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraug.spectral import Spectrum, amplitude_spectrum, irfft, rfft
+from fraug import spectral
+from fraug.spectral import (Spectrum, amplitude_spectrum, irfft, irfft_signal,
+                            rfft, rfft_bins)
 
 from conftest import naive_irfft, naive_rfft
 
@@ -26,6 +28,40 @@ def test_matches_naive_dft(n):
     rng = np.random.default_rng(n)
     x = rng.normal(size=n)
     np.testing.assert_allclose(rfft(x).bins, naive_rfft(x), atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [48, 191, 288, 816, 1024])
+def test_protocol_lengths_match_naive_dft(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n)
+    bins = rfft(x).bins
+    np.testing.assert_allclose(bins, naive_rfft(x), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(irfft(rfft(x)), naive_irfft(bins, n), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [192, 816, 191])
+def test_batch_matches_row_by_row(n):
+    # The radix step reshapes leading axes; a mix-up would show here.
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(4, 3, n))
+    bins = rfft_bins(x)
+    back = irfft_signal(bins, n)
+    for i in range(4):
+        for j in range(3):
+            np.testing.assert_allclose(bins[i, j], rfft_bins(x[i, j]), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(back[i, j], irfft_signal(bins[i, j], n),
+                                       rtol=0, atol=1e-12)
+
+
+def test_cached_tables_are_read_only():
+    rfft(np.ones(191 * 2 * 5))  # fills the radix, direct and Bluestein caches
+    tables = [spectral._dft_matrix(5), spectral._radix_twiddles(1910, 2),
+              *spectral._bluestein_kernel(191)]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+    x = np.random.default_rng(0).normal(size=1910)
+    np.testing.assert_allclose(rfft(x).bins, naive_rfft(x), rtol=0, atol=1e-9)
 
 
 def test_irfft_constant_case():
