@@ -16,7 +16,7 @@ rng = np.random.default_rng(7)
 values = generate(SynthSpec(length=144, channels=1,
                             tones=[(24.0, 1.0), (6.0, 0.4)],
                             noise_std=0.2, seed=1))
-sample = WindowSample(lookback=values[:, :96].copy(), horizon=values[:, 96:].copy())
+sample = WindowSample.split(values, 96)
 
 
 def describe(name, out):
@@ -30,8 +30,7 @@ def describe(name, out):
 describe("freq_mask 0.2", freq_mask(sample, 0.2, rng))
 
 # Mixing swaps bins with a partner window instead of zeroing them.
-partner = WindowSample(lookback=np.roll(values, 36, axis=1)[:, :96].copy(),
-                       horizon=np.roll(values, 36, axis=1)[:, 96:].copy())
+partner = WindowSample.split(np.roll(values, 36, axis=1), 96)
 describe("freq_mix 0.2", freq_mix(sample, partner, 0.2, rng))
 
 # The dispatcher covers the time-domain baselines too.
@@ -40,9 +39,7 @@ for kind in ("noise", "flip", "warp", "time_mask_random"):
     describe(kind, out)
 
 # ASD averages the nearest pool samples, weighted by softmin DTW distance.
-pool = [WindowSample(lookback=values[:, :96] + rng.normal(0, 0.3, (1, 96)),
-                     horizon=values[:, 96:] + rng.normal(0, 0.3, (1, 48)))
-        for _ in range(8)]
+pool = [WindowSample.split(values + rng.normal(0, 0.3, (1, 144)), 96) for _ in range(8)]
 describe("asd (k=5)", asd_augment(sample, pool, k=5))
 
 # MBB decomposes, bootstraps only the residual, and recombines.

@@ -16,6 +16,7 @@ from .dataset import WindowSample
 from .spectral import irfft_signal, rfft_bins
 
 FREQ_KINDS = ("freq_mask", "freq_mix", "freq_mask_keep_dominant", "freq_mask_then_mix")
+MIX_KINDS = ("freq_mix", "freq_mask_then_mix")
 BASELINE_KINDS = ("noise", "noise_both", "time_mask_random", "time_mask_segment", "flip", "warp")
 ALL_KINDS = FREQ_KINDS + BASELINE_KINDS + ("asd", "mbb", "none")
 
@@ -39,7 +40,7 @@ class AugmentSpec:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"rate must be in [0, 1], got {self.rate}")
-        if self.kind in ("freq_mix", "freq_mask_then_mix") and self.rate > 0.5:
+        if self.kind in MIX_KINDS and self.rate > 0.5:
             raise ValueError(f"mix rate must be <= 0.5, got {self.rate}")
 
 
@@ -61,16 +62,12 @@ def create_random_mask(length, mu, rng, exact_count=False):
 
 
 def _channel_masks(n_channels, n_bins, mu, rng, shared, exact_count=False):
+    """(n_channels, n_bins) keep array: one mask repeated, or one per channel."""
     if shared:
         mask = create_random_mask(n_bins, mu, rng, exact_count)
-        return [mask] * n_channels
-    return [create_random_mask(n_bins, mu, rng, exact_count) for _ in range(n_channels)]
-
-
-def _split(concat, b, h, start_index):
-    return WindowSample(
-        lookback=concat[:, :b], horizon=concat[:, b: b + h], start_index=start_index
-    )
+        return np.repeat(mask[None], n_channels, axis=0)
+    return np.stack([create_random_mask(n_bins, mu, rng, exact_count)
+                     for _ in range(n_channels)])
 
 
 def freq_mask(sample, mu, rng, shared=True, exact_count=False, exempt_top=0):
@@ -82,9 +79,8 @@ def freq_mask(sample, mu, rng, shared=True, exact_count=False, exempt_top=0):
     c, b, h = sample.shape
     s = sample.concat()
     n_bins = (b + h) // 2 + 1
-    masks = _channel_masks(c, n_bins, mu, rng, shared, exact_count)
+    keep = _channel_masks(c, n_bins, mu, rng, shared, exact_count)
     bins = rfft_bins(s)
-    keep = np.stack([m.copy() for m in masks])
     if exempt_top > 0:
         # Dominant bins are exempt per channel, even under a shared mask.
         amps = np.abs(bins)
@@ -92,7 +88,7 @@ def freq_mask(sample, mu, rng, shared=True, exact_count=False, exempt_top=0):
         np.put_along_axis(keep, top, True, axis=1)
     bins = np.where(keep, bins, 0.0 + 0.0j)
     out = irfft_signal(bins, b + h)
-    return _split(out, b, h, sample.start_index)
+    return WindowSample.split(out, b, sample.start_index)
 
 
 def freq_mask_keep_dominant(sample, mu, rng, keep_top=10, shared=True, exact_count=False):
@@ -118,18 +114,17 @@ def freq_mix(sample1, sample2, mu, rng, shared=True, exact_count=False):
     c, b, h = sample1.shape
     s1, s2 = sample1.concat(), sample2.concat()
     n_bins = (b + h) // 2 + 1
-    masks = _channel_masks(c, n_bins, mu, rng, shared, exact_count)
-    keep = np.stack(list(masks))
+    keep = _channel_masks(c, n_bins, mu, rng, shared, exact_count)
     mixed = np.where(keep, rfft_bins(s1), rfft_bins(s2))
     out = irfft_signal(mixed, b + h)
-    return _split(out, b, h, sample1.start_index)
+    return WindowSample.split(out, b, sample1.start_index)
 
 
-def freq_mask_then_mix(sample1, sample2, mu, rng, shared=True):
+def freq_mask_then_mix(sample1, sample2, mu, rng, shared=True, exact_count=False):
     """Sequential composition: mask both operands, then mix the results."""
-    a = freq_mask(sample1, mu, rng, shared=shared)
-    b = freq_mask(sample2, mu, rng, shared=shared)
-    return freq_mix(a, b, mu, rng, shared=shared)
+    a = freq_mask(sample1, mu, rng, shared=shared, exact_count=exact_count)
+    b = freq_mask(sample2, mu, rng, shared=shared, exact_count=exact_count)
+    return freq_mix(a, b, mu, rng, shared=shared, exact_count=exact_count)
 
 
 def baseline_augment(sample, kind, rng, mu=0.2, noise_scale=0.05, warp_factors=(0.5, 2.0)):
@@ -294,7 +289,7 @@ def mbb_augment(sample, period, rng, block_len=None, return_components=False):
         out[ch] = trend + seasonal + boot
         if return_components:
             components.append((trend, seasonal, residual, boot))
-    augmented = _split(out, b, h, sample.start_index)
+    augmented = WindowSample.split(out, b, sample.start_index)
     if return_components:
         return augmented, components
     return augmented
@@ -303,11 +298,16 @@ def mbb_augment(sample, period, rng, block_len=None, return_components=False):
 def apply_augment(sample, spec: AugmentSpec, rng, partner=None, pool=None):
     """Dispatch one augmentation according to spec.
 
-    Mixing kinds need a partner sample (drawn by the caller); asd needs
-    a pool of candidate neighbors.
+    Mixing kinds mix with `partner`; without one they draw it uniformly
+    from `pool` (one rng.integers call, before any mask). asd needs
+    `pool` as its candidate neighbors; other kinds ignore both.
     """
     kind = spec.kind
     shared = spec.shared_mask_across_channels
+    if kind in MIX_KINDS and partner is None:
+        if not pool:
+            raise ValueError(f"{kind} needs a partner sample or a pool to draw one from")
+        partner = pool[int(rng.integers(0, len(pool)))]
     if kind == "none":
         return WindowSample(
             lookback=sample.lookback.copy(),
@@ -322,14 +322,11 @@ def apply_augment(sample, spec: AugmentSpec, rng, partner=None, pool=None):
             exact_count=spec.exact_count,
         )
     if kind == "freq_mix":
-        if partner is None:
-            raise ValueError("freq_mix needs a partner sample")
         return freq_mix(sample, partner, spec.rate, rng, shared=shared,
                         exact_count=spec.exact_count)
     if kind == "freq_mask_then_mix":
-        if partner is None:
-            raise ValueError("freq_mask_then_mix needs a partner sample")
-        return freq_mask_then_mix(sample, partner, spec.rate, rng, shared=shared)
+        return freq_mask_then_mix(sample, partner, spec.rate, rng, shared=shared,
+                                  exact_count=spec.exact_count)
     if kind in BASELINE_KINDS:
         return baseline_augment(sample, kind, rng, mu=spec.rate)
     if kind == "asd":
@@ -357,13 +354,8 @@ def expand_dataset(samples, spec: AugmentSpec, factor, rng):
     samples = list(samples)
     out = list(samples)
     master = int(rng.integers(0, 2**31)) if spec.seed is None else spec.seed
-    needs_partner = spec.kind in ("freq_mix", "freq_mask_then_mix")
-    pool = samples if spec.kind == "asd" else None
     for round_index in range(1, factor):
         for i, sample in enumerate(samples):
             sub = _derive_rng(master, i, round_index)
-            partner = None
-            if needs_partner:
-                partner = samples[int(sub.integers(0, len(samples)))]
-            out.append(apply_augment(sample, spec, sub, partner=partner, pool=pool))
+            out.append(apply_augment(sample, spec, sub, pool=samples))
     return out

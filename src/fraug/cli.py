@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .augment import ALL_KINDS, AugmentSpec, apply_augment
+from .augment import ALL_KINDS, MIX_KINDS, AugmentSpec, apply_augment
 from .dataset import (SPLIT_SCHEMES, WindowSample, load_csv, make_windows,
                       split_and_normalize)
 from .forecaster import DLinearModel, TrainConfig, evaluate, train
@@ -45,27 +45,17 @@ def cmd_synth(args):
     return 0
 
 
-def _series_as_window(ds):
-    # Whole series as one window: first half look-back, rest horizon.
-    b = ds.length // 2
-    return WindowSample(
-        lookback=ds.values[:, :b].copy(),
-        horizon=ds.values[:, b:].copy(),
-    ), b
-
-
 def cmd_augment(args):
     ds = load_csv(args.infile, date_column=args.date_column)
-    sample, b = _series_as_window(ds)
+    # Whole series as one window: first half look-back, rest horizon.
+    b = ds.length // 2
+    sample = WindowSample.split(ds.values, b)
     spec = AugmentSpec(kind=args.kind, rate=args.rate, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     partner = None
-    if args.kind in ("freq_mix", "freq_mask_then_mix"):
+    if args.kind in MIX_KINDS:
         # Self-mix with a shifted copy: roll the series by a quarter.
-        shift = ds.length // 4
-        rolled = np.roll(ds.values, shift, axis=1)
-        partner = WindowSample(lookback=rolled[:, :b].copy(),
-                               horizon=rolled[:, b:].copy())
+        partner = WindowSample.split(np.roll(ds.values, ds.length // 4, axis=1), b)
     out = apply_augment(sample, spec, rng, partner=partner)
     write_csv(out.concat(), args.out)
     print(f"wrote {args.out}")

@@ -5,6 +5,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Split schemes: (train_len, val_len, test_len); None = ratio-based 70/10/20.
 SPLIT_SCHEMES = {
@@ -66,6 +67,11 @@ class WindowSample:
     def concat(self):
         """(C, b+h) concatenation of look-back and horizon."""
         return np.concatenate([self.lookback, self.horizon], axis=1)
+
+    @classmethod
+    def split(cls, window, b, start_index=0):
+        """Sample viewing a (C, b+h) window: the first b columns are the look-back."""
+        return cls(lookback=window[:, :b], horizon=window[:, b:], start_index=start_index)
 
 
 def load_csv(path, date_column="date") -> TimeSeriesDataset:
@@ -153,7 +159,9 @@ def split_and_normalize(ds: TimeSeriesDataset, scheme="generic") -> TimeSeriesDa
         if s == 0.0:
             name = ds.channel_names[c] if ds.channel_names else str(c)
             raise ValueError(f"degenerate channel {name!r}: zero training std")
-    normalized = (values - mean[:, None]) / std[:, None]
+    # C order: windows are views of this array, and a batch stacked from
+    # row-contiguous views is C-contiguous (load_csv's values are F-ordered).
+    normalized = np.ascontiguousarray((values - mean[:, None]) / std[:, None])
     return replace(
         ds,
         values=normalized,
@@ -167,7 +175,8 @@ def make_windows(ds: TimeSeriesDataset, split, b, h, stride=1):
     """Produce (look-back, horizon) samples from one split.
 
     With stride 1 the count is split_length - b - h (the final alignable
-    window is dropped, matching the benchmark sample arithmetic).
+    window is dropped, matching the benchmark sample arithmetic). The
+    samples are read-only views of ds.values (see span_windows).
     """
     if b < 1 or h < 1:
         raise ValueError("b and h must be >= 1")
@@ -179,17 +188,23 @@ def make_windows(ds: TimeSeriesDataset, split, b, h, stride=1):
         raise ValueError(
             f"window exceeds split: b+h = {b + h} > {split_len} ({split})"
         )
-    samples = []
-    for start in range(0, split_len - b - h, stride):
-        s = lo + start
-        samples.append(
-            WindowSample(
-                lookback=ds.values[:, s: s + b].copy(),
-                horizon=ds.values[:, s + b: s + b + h].copy(),
-                start_index=s,
-            )
-        )
-    return samples
+    return span_windows(ds.values, lo, hi, b, h, stride)
+
+
+def span_windows(values, lo, hi, b, h, stride=1):
+    """Samples fully inside columns [lo, hi) of a (C, T) array.
+
+    Sample k starts at column s = lo + k * stride: look-back
+    values[:, s:s+b], horizon the next h columns. The final alignable
+    window is dropped, so a span of at most b+h columns gives none.
+    Nothing is copied: every sample is a read-only view of `values`.
+    """
+    n = b + h
+    if hi - lo <= n:
+        return []
+    windows = sliding_window_view(values[:, lo:hi], n, axis=1)
+    return [WindowSample.split(windows[:, k], b, start_index=lo + k)
+            for k in range(0, hi - lo - n, stride)]
 
 
 def take_last_fraction(samples, fraction):

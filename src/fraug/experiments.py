@@ -8,12 +8,12 @@ serialized to JSON and flat CSV traces.
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .augment import AugmentSpec, expand_dataset
-from .dataset import TimeSeriesDataset, WindowSample, make_windows, take_last_fraction
+from .dataset import TimeSeriesDataset, make_windows, span_windows, take_last_fraction
 from .forecaster import DLinearModel, Metrics, TrainConfig, evaluate, train
 
 RATE_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -76,10 +76,6 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _spec_for(kind, rate, seed):
-    return AugmentSpec(kind=kind, rate=rate, seed=seed)
-
-
 def cross_validate_rate(ds, b, h, kind, grid=RATE_GRID, cfg=None, seed=0):
     """Pick the rate minimizing validation MSE; ties go to the smaller rate.
 
@@ -90,7 +86,7 @@ def cross_validate_rate(ds, b, h, kind, grid=RATE_GRID, cfg=None, seed=0):
     grid = sorted(grid)
     if not grid:
         raise ValueError("empty rate grid")
-    cfg = TrainConfig(**{**asdict(cfg or TrainConfig()), "seed": seed})
+    cfg = replace(cfg or TrainConfig(), seed=seed)
     train_samples = make_windows(ds, "train", b, h)
     val_samples = make_windows(ds, "val", b, h)
     per_rate = {}
@@ -98,7 +94,7 @@ def cross_validate_rate(ds, b, h, kind, grid=RATE_GRID, cfg=None, seed=0):
     for rate in grid:
         model = DLinearModel.init_random(b, h, seed=cfg.seed)
         model, trace = train(model, train_samples, val_samples, cfg,
-                             aug=_spec_for(kind, rate, cfg.seed))
+                             aug=AugmentSpec(kind=kind, rate=rate, seed=cfg.seed))
         val = evaluate(model, val_samples)
         per_rate[rate] = val
         if val.mse < best_val:
@@ -137,10 +133,9 @@ def run_longterm(ds, horizons, kinds, b=96, cfg=None, seeds=(0,),
                 rate = fixed_rate
             report.chosen_rates[f"{kind}/{h}"] = rate
             for seed in seeds:
-                run_cfg = cfg or TrainConfig()
-                run_cfg = TrainConfig(**{**asdict(run_cfg), "seed": seed})
+                run_cfg = replace(cfg or TrainConfig(), seed=seed)
                 model = DLinearModel.init_random(b, h, seed=seed)
-                aug = None if kind == "none" else _spec_for(kind, rate, seed)
+                aug = None if kind == "none" else AugmentSpec(kind=kind, rate=rate, seed=seed)
                 model, trace = train(model, train_samples, val_samples, run_cfg, aug=aug)
                 m = evaluate(model, test_samples)
                 report.cells.append(CellResult(
@@ -172,11 +167,10 @@ def run_coldstart(ds, h, kinds, b=96, fraction=0.01, factors=(2, 50),
     )
     for kind in kinds:
         for seed in seeds:
-            run_cfg = cfg or TrainConfig()
-            run_cfg = TrainConfig(**{**asdict(run_cfg), "seed": seed})
+            run_cfg = replace(cfg or TrainConfig(), seed=seed)
             best = None
             for factor in (1,) if kind == "none" else factors:
-                spec = _spec_for(kind, rate, seed)
+                spec = AugmentSpec(kind=kind, rate=rate, seed=seed)
                 rng = np.random.default_rng(seed)
                 expanded = expand_dataset(train_small, spec, factor, rng)
                 model = DLinearModel.init_random(b, h, seed=seed)
@@ -229,7 +223,9 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
 
     Round i trains from scratch on parts [0, i) and tests on part i.
     With augmentation, each training sample gets extra copies per the
-    1 -> 5 ramp: more copies for samples from newer parts.
+    1 -> 5 ramp: more copies for samples from newer parts. Early stopping
+    validates on the newest tenth of the round's training windows, which
+    the model also trains on: the validation is in-sample.
     """
     t0 = time.time()
     kinds = ["none"] + [k for k in kinds if k != "none"]
@@ -240,15 +236,11 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
     )
     for kind in kinds:
         for seed in seeds:
-            run_cfg = cfg or TrainConfig()
-            run_cfg = TrainConfig(**{**asdict(run_cfg), "seed": seed})
+            run_cfg = replace(cfg or TrainConfig(), seed=seed)
             part_losses, part_maes = [], []
             for i in range(1, parts):
-                train_lo = 0
-                train_hi = bounds[i - 1][1]
-                test_lo, test_hi = bounds[i]
-                train_samples = _span_windows(ds, train_lo, train_hi, b, h)
-                test_samples = _span_windows(ds, test_lo, test_hi, b, h)
+                train_samples = span_windows(ds.values, 0, bounds[i - 1][1], b, h)
+                test_samples = span_windows(ds.values, *bounds[i], b, h)
                 if not train_samples:
                     raise ValueError(f"part {i - 1}: span too short for windows")
                 if not test_samples:
@@ -261,8 +253,8 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
                     rng = np.random.default_rng((seed, i))
                     expanded = list(train_samples)
                     for rank, (lo, hi) in enumerate(bounds[:i]):
-                        part_samples = [s for s in train_samples
-                                        if lo <= s.start_index < hi]
+                        # Window k starts at column k: part [lo, hi) holds windows lo..hi-1.
+                        part_samples = train_samples[lo:hi]
                         copies = schedule[rank]
                         if copies > 0 and part_samples:
                             extra = expand_dataset(part_samples, spec, copies + 1, rng)
@@ -270,7 +262,6 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
                     train_set = expanded
                 else:
                     train_set = train_samples
-                # Validation for early stopping: newest tenth of training windows.
                 n_val = max(1, len(train_samples) // 10)
                 val_samples = train_samples[-n_val:]
                 model = DLinearModel.init_random(b, h, seed=seed)
@@ -290,16 +281,3 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
     report.wall_clock_s = time.time() - t0
     return report
 
-
-def _span_windows(ds, lo, hi, b, h):
-    """Windows fully inside [lo, hi); count convention matches make_windows."""
-    span = hi - lo
-    out = []
-    for start in range(0, span - b - h):
-        s = lo + start
-        out.append(WindowSample(
-            lookback=ds.values[:, s: s + b].copy(),
-            horizon=ds.values[:, s + b: s + b + h].copy(),
-            start_index=s,
-        ))
-    return out

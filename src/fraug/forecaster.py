@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import AugmentSpec, apply_augment
-from .dataset import WindowSample
 
 CHECKPOINT_MAGIC = "FRAUG-DLINEAR-v1"
 
@@ -102,17 +101,26 @@ class DLinearModel:
 
     @classmethod
     def load(cls, path):
+        """Read a checkpoint written by save; a malformed one raises ValueError."""
         with open(path) as fh:
             doc = json.load(fh)
         if doc.get("magic") != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
-        return cls(
-            b=doc["b"], h=doc["h"], kernel=doc["kernel"],
-            w_trend=np.asarray(doc["w_trend"]),
-            w_seasonal=np.asarray(doc["w_seasonal"]),
-            b_trend=np.asarray(doc["b_trend"]),
-            b_seasonal=np.asarray(doc["b_seasonal"]),
-        )
+        missing = [k for k in ("b", "h", "kernel", "w_trend", "w_seasonal",
+                               "b_trend", "b_seasonal") if k not in doc]
+        if missing:
+            raise ValueError(f"{path}: checkpoint lacks {', '.join(missing)}")
+        b, h = doc["b"], doc["h"]
+        params = {}
+        for name, shape in (("w_trend", (h, b)), ("w_seasonal", (h, b)),
+                            ("b_trend", (h,)), ("b_seasonal", (h,))):
+            value = np.asarray(doc[name], dtype=np.float64)
+            if value.shape != shape:
+                raise ValueError(f"{path}: {name} has shape {value.shape}, expected {shape}")
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{path}: {name} holds a non-finite value")
+            params[name] = value
+        return cls(b=b, h=h, kernel=doc["kernel"], **params)
 
 
 def forward(model: DLinearModel, lookback):
@@ -228,14 +236,8 @@ def train(model, train_samples, val_samples, cfg: TrainConfig,
         for lo in range(0, len(order), step_size):
             batch = [train_samples[i] for i in order[lo: lo + step_size]]
             if augmenting:
-                extra = []
-                for s in batch:
-                    partner = None
-                    if aug.kind in ("freq_mix", "freq_mask_then_mix"):
-                        partner = train_samples[int(rng.integers(0, len(train_samples)))]
-                    extra.append(apply_augment(s, aug, rng, partner=partner,
-                                               pool=train_samples if aug.kind == "asd" else None))
-                batch = batch + extra
+                batch = batch + [apply_augment(s, aug, rng, pool=train_samples)
+                                 for s in batch]
             look, hor = _stack(batch)
             loss, grads = loss_and_grads(model, look, hor)
             if not np.isfinite(loss):

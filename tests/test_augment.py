@@ -375,6 +375,44 @@ class TestExpandDataset:
         assert out[:3] == samples
 
 
+class TestMixPartner:
+    @pytest.mark.parametrize("kind", ["freq_mix", "freq_mask_then_mix"])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_pool_draw_equals_drawing_the_partner_first(self, kind, shared):
+        pool = [make_sample(c=2, b=32, h=16, seed=i) for i in range(7)]
+        sample = make_sample(c=2, b=32, h=16, seed=20)
+        spec = AugmentSpec(kind=kind, rate=0.3, shared_mask_across_channels=shared)
+        rng = np.random.default_rng(11)
+        out = apply_augment(sample, spec, rng, pool=pool)
+        ref_rng = np.random.default_rng(11)
+        partner = pool[ref_rng.integers(0, len(pool))]
+        ref = apply_augment(sample, spec, ref_rng, partner=partner)
+        np.testing.assert_array_equal(out.concat(), ref.concat())
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("kind", ["freq_mix", "freq_mask_then_mix"])
+    def test_no_partner_and_no_pool_rejected(self, kind):
+        spec = AugmentSpec(kind=kind, rate=0.2)
+        for pool in (None, []):
+            with pytest.raises(ValueError, match="partner sample or a pool"):
+                apply_augment(make_sample(), spec, np.random.default_rng(0), pool=pool)
+
+    def test_mask_then_mix_honours_exact_count(self):
+        sample = make_sample(c=2, b=32, h=16, seed=0)
+        partner = make_sample(c=2, b=32, h=16, seed=1)
+        outs = {}
+        for exact in (False, True):
+            spec = AugmentSpec(kind="freq_mask_then_mix", rate=0.3, exact_count=exact)
+            outs[exact] = apply_augment(sample, spec, np.random.default_rng(4),
+                                        partner=partner).concat()
+        rng = np.random.default_rng(4)
+        a = freq_mask(sample, 0.3, rng, exact_count=True)
+        b = freq_mask(partner, 0.3, rng, exact_count=True)
+        ref = freq_mix(a, b, 0.3, rng, exact_count=True)
+        np.testing.assert_array_equal(outs[True], ref.concat())
+        assert not np.array_equal(outs[True], outs[False])
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("kind", ["freq_mask", "freq_mix", "freq_mask_keep_dominant",
                                       "freq_mask_then_mix", "noise", "time_mask_random",

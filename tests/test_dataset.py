@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fraug.dataset import (TimeSeriesDataset, load_csv, make_windows,
-                           split_and_normalize, take_last_fraction)
+from fraug.dataset import (TimeSeriesDataset, WindowSample, load_csv, make_windows,
+                           span_windows, split_and_normalize, take_last_fraction)
+from fraug.experiments import _part_bounds
 from fraug.synth import SynthSpec, generate, write_csv
 
 
@@ -118,6 +119,84 @@ def test_make_windows_too_short():
                            split_bounds=(4, 4))
     with pytest.raises(ValueError, match="window exceeds split"):
         make_windows(ds, "train", 2, 3)
+
+
+def copied_windows(values, lo, hi, b, h, stride=1):
+    """Reference: a private copy of every window, the layout rule written out by hand."""
+    return [(values[:, s: s + b].copy(), values[:, s + b: s + b + h].copy(), s)
+            for s in range(lo, hi - b - h, stride)]
+
+
+def assert_windows_equal(samples, reference):
+    assert len(samples) == len(reference)
+    for sample, (look, hor, start) in zip(samples, reference):
+        np.testing.assert_array_equal(sample.lookback, look)
+        np.testing.assert_array_equal(sample.horizon, hor)
+        assert sample.start_index == start
+
+
+@pytest.mark.parametrize("split,stride", [("train", 1), ("val", 1), ("test", 3),
+                                          ("train", 8)])
+def test_make_windows_equal_copied_windows(split, stride):
+    ds = split_and_normalize(_synthetic_ds(), scheme="generic")
+    lo, hi = ds.split_range(split)
+    samples = make_windows(ds, split, 24, 12, stride=stride)
+    assert_windows_equal(samples, copied_windows(ds.values, lo, hi, 24, 12, stride))
+    assert len(samples) == len(range(0, hi - lo - 36, stride))
+
+
+def test_ttt_span_windows_equal_copied_windows():
+    ds = _synthetic_ds(length=600, channels=1)
+    b, h = 8, 4
+    bounds = _part_bounds(ds.length, 5)
+    for i in range(1, 5):
+        train = span_windows(ds.values, 0, bounds[i - 1][1], b, h)
+        assert_windows_equal(train, copied_windows(ds.values, 0, bounds[i - 1][1], b, h))
+        assert_windows_equal(span_windows(ds.values, *bounds[i], b, h),
+                             copied_windows(ds.values, *bounds[i], b, h))
+        # A part's windows are a slice of the training list: window k starts at k.
+        for lo, hi in bounds[:i]:
+            assert train[lo:hi] == [w for w in train if lo <= w.start_index < hi]
+
+
+@pytest.mark.parametrize("span", [0, 5, 11, 12])
+def test_span_windows_empty_when_span_at_most_b_plus_h(span):
+    values = np.arange(40.0)[None]
+    assert span_windows(values, 10, 10 + span, 8, 4) == []
+    assert len(span_windows(values, 10, 10 + 13, 8, 4)) == 1
+
+
+def test_windows_are_read_only_views_of_the_dataset():
+    ds = split_and_normalize(_synthetic_ds(), scheme="generic")
+    samples = make_windows(ds, "train", 24, 12)
+    for sample in (samples[0], samples[-1]):
+        assert np.shares_memory(sample.lookback, ds.values)
+        assert np.shares_memory(sample.horizon, ds.values)
+        with pytest.raises(ValueError, match="read-only"):
+            sample.lookback[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            sample.horizon[...] = 0.0
+
+
+def test_windows_of_a_loaded_csv_are_row_contiguous(tmp_path):
+    path = tmp_path / "series.csv"
+    write_csv(_synthetic_ds(length=200).values, path)
+    loaded = load_csv(path)
+    ds = split_and_normalize(loaded, scheme="generic")
+    np.testing.assert_array_equal(
+        ds.values, (loaded.values - ds.norm_stats[0][:, None]) / ds.norm_stats[1][:, None])
+    assert ds.values.flags.c_contiguous
+    sample = make_windows(ds, "train", 24, 12)[0]
+    assert sample.lookback.strides == (ds.length * 8, 8)
+
+
+def test_window_sample_split():
+    window = np.arange(12.0).reshape(2, 6)
+    sample = WindowSample.split(window, 4, start_index=7)
+    np.testing.assert_array_equal(sample.lookback, window[:, :4])
+    np.testing.assert_array_equal(sample.horizon, window[:, 4:])
+    assert sample.shape == (2, 4, 2) and sample.start_index == 7
+    np.testing.assert_array_equal(sample.concat(), window)
 
 
 def test_take_last_fraction():

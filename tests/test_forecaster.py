@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -223,3 +225,38 @@ def test_checkpoint_magic_checked(tmp_path):
     path.write_text('{"magic": "nope"}')
     with pytest.raises(ValueError, match="FRAUG-DLINEAR-v1"):
         DLinearModel.load(path)
+
+
+def write_checkpoint(path, **changes):
+    """A valid b=8, h=4 checkpoint with `changes` applied (None deletes a key)."""
+    DLinearModel.init_random(b=8, h=4, kernel=5, seed=9).save(path)
+    doc = json.loads(path.read_text())
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestCheckpointValidation:
+    def test_missing_key_named(self, tmp_path):
+        path = write_checkpoint(tmp_path / "m.json", b_seasonal=None)
+        with pytest.raises(ValueError, match="lacks b_seasonal"):
+            DLinearModel.load(path)
+
+    def test_weight_shape_checked(self, tmp_path):
+        path = write_checkpoint(tmp_path / "m.json", w_trend=np.zeros((2, 8)).tolist())
+        with pytest.raises(ValueError, match=r"w_trend has shape \(2, 8\), expected \(4, 8\)"):
+            DLinearModel.load(path)
+
+    def test_bias_shape_checked(self, tmp_path):
+        path = write_checkpoint(tmp_path / "m.json", b_trend=np.zeros(5).tolist())
+        with pytest.raises(ValueError, match=r"b_trend has shape \(5,\), expected \(4,\)"):
+            DLinearModel.load(path)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        path = write_checkpoint(tmp_path / "m.json", b_seasonal=[0.0, float("nan"), 0.0, 0.0])
+        with pytest.raises(ValueError, match="b_seasonal holds a non-finite value"):
+            DLinearModel.load(path)
