@@ -24,6 +24,10 @@ from .experiments import run_coldstart, run_longterm, run_ttt
 from .spectral import amplitude_spectrum, rfft
 from .synth import SynthSpec, generate, write_csv
 
+# augment transforms one whole-series window, so there is no candidate
+# pool for asd to average over.
+AUGMENT_KINDS = tuple(k for k in ALL_KINDS if k != "asd")
+
 
 def _parse_tones(text):
     tones = []
@@ -222,7 +226,7 @@ def build_parser():
 
     p = sub.add_parser("augment", help="augment a series file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--kind", choices=ALL_KINDS, default="freq_mask")
+    p.add_argument("--kind", choices=AUGMENT_KINDS, default="freq_mask")
     p.add_argument("--rate", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

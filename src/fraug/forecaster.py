@@ -2,11 +2,14 @@
 
 The model splits the look-back into a moving-average trend and the
 remainder, maps each through its own h-by-b linear layer (shared across
-channels), and sums the two predictions. Training is plain minibatch
-gradient descent with adaptive-moment updates, early stopping on
-validation loss, and optional batch-wise augmentation: the configured
-batch is halved, every half-batch sample is augmented once, and the
-model trains on the doubled batch.
+channels), and sums the two predictions. Both heads are linear in the
+look-back, so they are applied as one effective linear map: one matmul
+per forward pass and one per gradient. Training is plain minibatch
+gradient descent with adaptive-moment updates on one flat vector that
+holds all four parameters, early stopping on validation loss, and
+optional batch-wise augmentation: the configured batch is halved, every
+half-batch sample is augmented once, and the model trains on the
+doubled batch.
 """
 
 import json
@@ -32,8 +35,34 @@ def moving_average_matrix(b, kernel):
     return a
 
 
+class _FlatParams(dict):
+    """{name: view} of the four parameters, all views of one vector ``flat``.
+
+    The layout is w_trend (h, b), w_seasonal (h, b), b_trend (h,),
+    b_seasonal (h,). Model parameters and gradients share it, so one
+    elementwise pass over ``flat`` updates all four.
+    """
+
+    def __init__(self, b, h):
+        hb = h * b
+        self.flat = np.zeros(2 * hb + 2 * h)
+        super().__init__(
+            w_trend=self.flat[:hb].reshape(h, b),
+            w_seasonal=self.flat[hb:2 * hb].reshape(h, b),
+            b_trend=self.flat[2 * hb:2 * hb + h],
+            b_seasonal=self.flat[2 * hb + h:],
+        )
+
+
 @dataclass
 class DLinearModel:
+    """DLinear forecaster; the four parameters are views of one flat vector.
+
+    Arrays passed in are copied into that vector. Write to a parameter in
+    place (``model.w_trend[...] = w`` or ``set_params``); rebinding the
+    attribute detaches it from the vector that training updates.
+    """
+
     b: int
     h: int
     kernel: int = 25
@@ -43,14 +72,15 @@ class DLinearModel:
     b_seasonal: np.ndarray = None
 
     def __post_init__(self):
-        if self.w_trend is None:
-            self.w_trend = np.zeros((self.h, self.b))
-        if self.w_seasonal is None:
-            self.w_seasonal = np.zeros((self.h, self.b))
-        if self.b_trend is None:
-            self.b_trend = np.zeros(self.h)
-        if self.b_seasonal is None:
-            self.b_seasonal = np.zeros(self.h)
+        self._params = _FlatParams(self.b, self.h)
+        for name, view in self._params.items():
+            given = getattr(self, name)
+            if given is not None:
+                if np.shape(given) != view.shape:
+                    raise ValueError(f"{name} has shape {np.shape(given)}, "
+                                     f"expected {view.shape}")
+                view[...] = given
+            setattr(self, name, view)
         self._ma = moving_average_matrix(self.b, self.kernel)
 
     @classmethod
@@ -67,10 +97,8 @@ class DLinearModel:
         )
 
     def params(self):
-        return {
-            "w_trend": self.w_trend, "w_seasonal": self.w_seasonal,
-            "b_trend": self.b_trend, "b_seasonal": self.b_seasonal,
-        }
+        """{name: array} of the parameters, views of the flat vector ``params().flat``."""
+        return self._params
 
     def copy_params(self):
         return {k: v.copy() for k, v in self.params().items()}
@@ -79,16 +107,30 @@ class DLinearModel:
         for k, v in params.items():
             getattr(self, k)[...] = v
 
-    def forward_batch(self, lookback):
-        """lookback (n, C, b) -> predictions (n, C, h)."""
+    def effective_map(self):
+        """(W, c) such that the two heads' summed prediction is lookback @ W.T + c.
+
+        With A the moving-average matrix, the trend is lookback @ A.T, so
+        W = w_seasonal + (w_trend - w_seasonal) A and c = b_trend +
+        b_seasonal. Computed from the current parameters on every call.
+        """
+        w = self.w_seasonal + (self.w_trend - self.w_seasonal) @ self._ma
+        return w, self.b_trend + self.b_seasonal
+
+    def _rows(self, lookback):
+        """(..., b) look-back -> (rows, b) matrix, one row per window channel."""
         if lookback.shape[-1] != self.b:
             raise ValueError(
                 f"look-back length {lookback.shape[-1]} != model b {self.b}"
             )
-        trend = lookback @ self._ma.T
-        seasonal = lookback - trend
-        return (trend @ self.w_trend.T + self.b_trend
-                + seasonal @ self.w_seasonal.T + self.b_seasonal)
+        return lookback.reshape(-1, self.b)
+
+    def forward_batch(self, lookback):
+        """lookback (n, C, b) -> predictions (n, C, h)."""
+        w, c = self.effective_map()
+        pred = self._rows(lookback) @ w.T
+        pred += c
+        return pred.reshape(*lookback.shape[:-1], self.h)
 
     def save(self, path):
         doc = {
@@ -110,6 +152,10 @@ class DLinearModel:
                                "b_trend", "b_seasonal") if k not in doc]
         if missing:
             raise ValueError(f"{path}: checkpoint lacks {', '.join(missing)}")
+        for name in ("b", "h", "kernel"):
+            value = doc[name]
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{path}: {name} must be a positive integer, got {value!r}")
         b, h = doc["b"], doc["h"]
         params = {}
         for name, shape in (("w_trend", (h, b)), ("w_seasonal", (h, b)),
@@ -147,6 +193,17 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        # Written as not (...) so NaN fails too.
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not self.max_epochs >= 0:
+            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {value}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
 @dataclass
@@ -167,44 +224,66 @@ def loss_and_grads(model: DLinearModel, lookback, target):
     """MSE loss over a batch plus analytic parameter gradients.
 
     lookback (n, C, b), target (n, C, h). Loss is the mean over all
-    samples, channels, and horizon steps.
+    samples, channels, and horizon steps. The gradients are views of one
+    flat vector, ``grads.flat``, laid out like ``model.params().flat``.
+
+    With X the look-back rows and G = dpred.T @ X, the trend input is
+    X A.T and the seasonal input X - X A.T, so d w_trend = G A.T and
+    d w_seasonal = G - d w_trend.
     """
-    trend = lookback @ model._ma.T
-    seasonal = lookback - trend
-    pred = (trend @ model.w_trend.T + model.b_trend
-            + seasonal @ model.w_seasonal.T + model.b_seasonal)
-    err = pred - target
+    x = model._rows(lookback)
+    w, c = model.effective_map()
+    # In-place steps: fresh (rows, h) temporaries cost more than the arithmetic.
+    err = x @ w.T
+    err += c
+    err -= target.reshape(-1, model.h)
     loss = float(np.mean(err * err))
-    dpred = 2.0 * err / err.size
-    grads = {
-        "w_trend": np.einsum("nch,ncb->hb", dpred, trend),
-        "w_seasonal": np.einsum("nch,ncb->hb", dpred, seasonal),
-        "b_trend": np.einsum("nch->h", dpred),
-        "b_seasonal": np.einsum("nch->h", dpred),
-    }
+    dpred = err
+    dpred *= 2.0
+    dpred /= dpred.size
+    g = dpred.T @ x
+    grads = _FlatParams(model.b, model.h)
+    np.matmul(g, model._ma.T, out=grads["w_trend"])
+    np.subtract(g, grads["w_trend"], out=grads["w_seasonal"])
+    np.sum(dpred, axis=0, out=grads["b_trend"])
+    grads["b_seasonal"][...] = grads["b_trend"]
     return loss, grads
 
 
 class _Adam:
+    """Adam over one flat parameter vector, updated in place."""
+
     def __init__(self, params, lr, beta1, beta2, eps):
+        self.params = params
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, params, grads):
+    def step(self, g):
+        """params -= lr * m_hat / (sqrt(v_hat) + eps), evaluated in place.
+
+        Each operation rounds as in that expression, so the result is
+        bit-identical to it.
+        """
         self.t += 1
-        for k, g in grads.items():
-            self.m[k] = self.b1 * self.m[k] + (1 - self.b1) * g
-            self.v[k] = self.b2 * self.v[k] + (1 - self.b2) * g * g
-            m_hat = self.m[k] / (1 - self.b1 ** self.t)
-            v_hat = self.v[k] / (1 - self.b2 ** self.t)
-            params[k] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self.m, self.v
+        m *= self.b1
+        m += (1 - self.b1) * g
+        v *= self.b2
+        v += (1 - self.b2) * g * g
+        update = m / (1 - self.b1 ** self.t)
+        update *= self.lr
+        denom = v / (1 - self.b2 ** self.t)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        self.params -= update
 
 
 def _stack(samples):
-    look = np.stack([s.lookback for s in samples])
-    hor = np.stack([s.horizon for s in samples])
+    look = np.array([s.lookback for s in samples])
+    hor = np.array([s.horizon for s in samples])
     return look, hor
 
 
@@ -221,7 +300,7 @@ def train(model, train_samples, val_samples, cfg: TrainConfig,
         raise ValueError("train and validation sets must be non-empty")
     augmenting = aug is not None and aug.kind != "none"
     rng = np.random.default_rng(cfg.seed)
-    opt = _Adam(model.params(), cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+    opt = _Adam(model.params().flat, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
     trace = TrainingTrace()
     val_look, val_hor = _stack(val_samples)
     best = model.copy_params()
@@ -243,7 +322,7 @@ def train(model, train_samples, val_samples, cfg: TrainConfig,
             if not np.isfinite(loss):
                 raise FloatingPointError(f"divergence at epoch {epoch}")
             epoch_losses.append(loss)
-            opt.step(model.params(), grads)
+            opt.step(grads.flat)
         val_pred = model.forward_batch(val_look)
         val_loss = float(np.mean((val_pred - val_hor) ** 2))
         if not np.isfinite(val_loss):
@@ -268,8 +347,11 @@ def evaluate(model, samples) -> Metrics:
     if not samples:
         raise ValueError("empty sample set")
     look, hor = _stack(samples)
-    pred = model.forward_batch(look)
-    err = pred - hor
+    err = model.forward_batch(look)
+    err -= hor
+    # Free the stacked windows before the squared and absolute errors are
+    # formed: on a large test set this is the peak memory of a run.
+    del look, hor
     return Metrics(
         mse=float(np.mean(err * err)),
         mae=float(np.mean(np.abs(err))),

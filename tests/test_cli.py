@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from fraug.cli import main
+from fraug.cli import AUGMENT_KINDS, main
 from fraug.dataset import load_csv
 from fraug.forecaster import DLinearModel
 from fraug.spectral import amplitude_spectrum, rfft
@@ -101,6 +101,23 @@ class TestAugment:
         out = tmp_path / "aug.csv"
         assert run_cli("augment", "--in", str(src), "--out", str(out),
                        "--kind", "freq_mix", "--rate", "0.2") == 0
+
+    def test_asd_not_offered(self, tmp_path, capsys):
+        # One whole-series window has no candidate pool for asd.
+        src = make_series(tmp_path, length=200)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("augment", "--in", str(src), "--out", str(tmp_path / "o.csv"),
+                    "--kind", "asd")
+        assert exc.value.code == 2
+        assert "invalid choice: 'asd'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", AUGMENT_KINDS)
+    def test_every_offered_kind_runs(self, tmp_path, kind):
+        src = make_series(tmp_path, length=200)
+        out = tmp_path / "aug.csv"
+        assert run_cli("augment", "--in", str(src), "--out", str(out),
+                       "--kind", kind, "--rate", "0.2") == 0
+        assert load_csv(out).values.shape == (2, 200)
 
     def test_missing_input(self, tmp_path, capsys):
         rc = run_cli("augment", "--in", str(tmp_path / "nope.csv"),

@@ -5,9 +5,9 @@ import pytest
 
 from fraug.augment import AugmentSpec
 from fraug.dataset import WindowSample
-from fraug.forecaster import (DLinearModel, Metrics, TrainConfig, evaluate,
-                              forward, loss_and_grads, moving_average_matrix,
-                              train)
+from fraug.forecaster import (DLinearModel, Metrics, TrainConfig, _Adam,
+                              _FlatParams, evaluate, forward, loss_and_grads,
+                              moving_average_matrix, train)
 
 from conftest import make_sample
 
@@ -89,6 +89,154 @@ class TestGradients:
                 assert abs(grad[idx] - numeric) / denom < 1e-5
 
 
+def two_branch_forward(model, lookback):
+    """Oracle: the trend and seasonal heads applied separately, then summed."""
+    trend = lookback @ model._ma.T
+    seasonal = lookback - trend
+    return (trend @ model.w_trend.T + model.b_trend
+            + seasonal @ model.w_seasonal.T + model.b_seasonal)
+
+
+def two_branch_loss_and_grads(model, lookback, target):
+    """Oracle: per-head gradients by einsum over the trend and seasonal inputs."""
+    trend = lookback @ model._ma.T
+    seasonal = lookback - trend
+    err = two_branch_forward(model, lookback) - target
+    dpred = 2.0 * err / err.size
+    return float(np.mean(err * err)), {
+        "w_trend": np.einsum("nch,ncb->hb", dpred, trend),
+        "w_seasonal": np.einsum("nch,ncb->hb", dpred, seasonal),
+        "b_trend": np.einsum("nch->h", dpred),
+        "b_seasonal": np.einsum("nch->h", dpred),
+    }
+
+
+class PerParameterAdam:
+    """Oracle: the Adam update applied to each parameter array separately."""
+
+    def __init__(self, params, lr, beta1, beta2, eps):
+        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params, grads):
+        self.t += 1
+        for k, g in grads.items():
+            self.m[k] = self.b1 * self.m[k] + (1 - self.b1) * g
+            self.v[k] = self.b2 * self.v[k] + (1 - self.b2) * g * g
+            m_hat = self.m[k] / (1 - self.b1 ** self.t)
+            v_hat = self.v[k] / (1 - self.b2 ** self.t)
+            params[k] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def assert_matches_oracle(actual, desired, rtol=1e-12, err_msg=""):
+    """Elementwise rtol, plus rtol times the oracle's largest magnitude as atol.
+
+    The fold sums the same terms in another order, so an entry that
+    cancels to near zero keeps an absolute, not a relative, error.
+    """
+    np.testing.assert_allclose(actual, desired, rtol=rtol,
+                               atol=rtol * np.max(np.abs(desired)), err_msg=err_msg)
+
+
+# (n, C, b, h, kernel): ETT-hourly scale, one channel, identity trend, kernel > b.
+FOLD_CASES = [(32, 7, 96, 96, 25), (16, 1, 48, 24, 25), (4, 3, 16, 8, 1), (5, 2, 10, 6, 25)]
+
+
+class TestEffectiveMap:
+    @pytest.mark.parametrize("n,c,b,h,kernel", FOLD_CASES)
+    def test_loss_and_grads_match_two_branch_oracle(self, n, c, b, h, kernel):
+        rng = np.random.default_rng(b + kernel)
+        model = DLinearModel.init_random(b=b, h=h, kernel=kernel, seed=kernel)
+        look = rng.normal(size=(n, c, b))
+        target = rng.normal(size=(n, c, h))
+        loss, grads = loss_and_grads(model, look, target)
+        want_loss, want = two_branch_loss_and_grads(model, look, target)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert set(grads) == set(want)
+        for name, grad in want.items():
+            assert_matches_oracle(grads[name], grad, err_msg=name)
+
+    @pytest.mark.parametrize("n,c,b,h,kernel", FOLD_CASES)
+    def test_forward_batch_matches_two_branch_oracle(self, n, c, b, h, kernel):
+        rng = np.random.default_rng(b + kernel)
+        model = DLinearModel.init_random(b=b, h=h, kernel=kernel, seed=kernel)
+        look = rng.normal(size=(n, c, b))
+        assert_matches_oracle(model.forward_batch(look), two_branch_forward(model, look))
+
+    def test_flat_adam_equals_per_parameter_update(self):
+        b, h = 12, 5
+        flat_model = DLinearModel.init_random(b=b, h=h, seed=2)
+        params = flat_model.copy_params()
+        flat = _Adam(flat_model.params().flat, 1e-2, 0.9, 0.999, 1e-8)
+        oracle = PerParameterAdam(params, 1e-2, 0.9, 0.999, 1e-8)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            grads = _FlatParams(b, h)
+            grads.flat[...] = rng.normal(size=grads.flat.size)
+            flat.step(grads.flat)
+            oracle.step(params, grads)
+        for name, value in params.items():
+            np.testing.assert_array_equal(getattr(flat_model, name), value)
+
+    def test_parameters_share_one_buffer(self):
+        model = DLinearModel.init_random(b=8, h=4, seed=1)
+        flat = model.params().flat
+        assert flat.size == 2 * 4 * 8 + 2 * 4
+        for name in ("w_trend", "w_seasonal", "b_trend", "b_seasonal"):
+            assert np.shares_memory(getattr(model, name), flat)
+            assert model.params()[name] is getattr(model, name)
+
+    def test_in_place_write_changes_forward(self):
+        model = DLinearModel.init_random(b=8, h=4, kernel=3, seed=1)
+        look = np.random.default_rng(2).normal(size=(3, 2, 8))
+        before = model.forward_batch(look)
+        model.w_trend[1, 2] += 0.5
+        after = model.forward_batch(look)
+        assert not np.allclose(after, before)
+        assert_matches_oracle(after, two_branch_forward(model, look))
+
+    def test_set_and_copy_params_round_trip(self):
+        model = DLinearModel.init_random(b=8, h=4, seed=1)
+        other = DLinearModel.init_random(b=8, h=4, seed=2).copy_params()
+        saved = model.copy_params()
+        model.set_params(other)
+        for name, value in other.items():
+            np.testing.assert_array_equal(getattr(model, name), value)
+            assert np.shares_memory(getattr(model, name), model.params().flat)
+        model.set_params(saved)
+        for name, value in saved.items():
+            np.testing.assert_array_equal(getattr(model, name), value)
+            assert not np.shares_memory(value, model.params().flat)
+
+    def test_save_load_round_trip_keeps_one_buffer(self, tmp_path):
+        model = DLinearModel.init_random(b=8, h=4, kernel=5, seed=9)
+        model.save(tmp_path / "m.json")
+        loaded = DLinearModel.load(tmp_path / "m.json")
+        np.testing.assert_array_equal(loaded.params().flat, model.params().flat)
+        for name in ("w_trend", "w_seasonal", "b_trend", "b_seasonal"):
+            assert np.shares_memory(getattr(loaded, name), loaded.params().flat)
+        look = np.random.default_rng(0).normal(size=(2, 3, 8))
+        np.testing.assert_array_equal(loaded.forward_batch(look), model.forward_batch(look))
+
+    def test_caller_arrays_not_aliased(self):
+        rng = np.random.default_rng(0)
+        given = {"w_trend": rng.normal(size=(4, 8)), "w_seasonal": rng.normal(size=(4, 8)),
+                 "b_trend": rng.normal(size=4), "b_seasonal": rng.normal(size=4)}
+        kept = {k: v.copy() for k, v in given.items()}
+        model = DLinearModel(b=8, h=4, **given)
+        for name, value in given.items():
+            assert not np.shares_memory(getattr(model, name), value)
+            np.testing.assert_array_equal(getattr(model, name), value)
+            getattr(model, name)[...] += 1.0
+            np.testing.assert_array_equal(value, kept[name])
+
+    def test_wrong_parameter_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"w_seasonal has shape \(8, 4\), expected \(4, 8\)"):
+            DLinearModel(b=8, h=4, w_seasonal=np.zeros((8, 4)))
+
+
 class TestTrain:
     def _cfg(self, **kw):
         defaults = dict(learning_rate=5e-2, batch_size=8, max_epochs=200,
@@ -164,6 +312,21 @@ class TestTrain:
         model = DLinearModel.init_random(b=4, h=2, seed=0)
         with pytest.raises(ValueError):
             train(model, [], linear_samples(2), TrainConfig())
+
+
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", 0.0), ("learning_rate", -1.0), ("learning_rate", float("nan")),
+        ("max_epochs", -3), ("beta1", 1.5), ("beta1", 1.0), ("beta1", -0.1),
+        ("beta2", 1.0), ("beta2", -0.5), ("eps", 0.0), ("eps", -1e-8),
+    ])
+    def test_bad_value_rejected_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        cfg = TrainConfig(max_epochs=0, beta1=0.0, beta2=0.0, eps=1e-300)
+        assert cfg.max_epochs == 0
 
 
 class TestEvaluate:
@@ -254,6 +417,18 @@ class TestCheckpointValidation:
     def test_bias_shape_checked(self, tmp_path):
         path = write_checkpoint(tmp_path / "m.json", b_trend=np.zeros(5).tolist())
         with pytest.raises(ValueError, match=r"b_trend has shape \(5,\), expected \(4,\)"):
+            DLinearModel.load(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("kernel", 2.5), ("kernel", "null"), ("kernel", 0), ("b", "8"),
+        ("b", True), ("h", -4), ("h", 4.0),
+    ])
+    def test_size_field_must_be_positive_int(self, tmp_path, field, value):
+        path = write_checkpoint(tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        doc[field] = None if value == "null" else value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
             DLinearModel.load(path)
 
     def test_non_finite_value_rejected(self, tmp_path):
