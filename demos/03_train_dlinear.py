@@ -26,7 +26,7 @@ cfg = TrainConfig(learning_rate=5e-3, batch_size=32, max_epochs=15, patience=3, 
 
 for kind in ("none", "freq_mask"):
     model = DLinearModel.init_random(b, h, seed=0)
-    aug = None if kind == "none" else AugmentSpec(kind=kind, rate=0.2, seed=0)
+    aug = None if kind == "none" else AugmentSpec(kind=kind, rate=0.2)
     model, trace = train(model, train_samples, val_samples, cfg, aug=aug)
     m = evaluate(model, test_samples)
     print(f"\n{kind}: stopped after epoch {len(trace.train_loss)}, "

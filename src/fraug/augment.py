@@ -29,7 +29,6 @@ class AugmentSpec:
     rate: float = 0.2
     shared_mask_across_channels: bool = True
     keep_top: int = 10
-    seed: int | None = None
     exact_count: bool = False
     # MBB parameters; block_len None = max(2, len//10).
     period: int = 24
@@ -338,24 +337,19 @@ def apply_augment(sample, spec: AugmentSpec, rng, partner=None, pool=None):
     raise ValueError(f"unknown augmentation kind {kind!r}")
 
 
-def _derive_rng(master_seed, sample_index, round_index):
-    # Fixed derivation rule so parallel expansion stays reproducible.
-    return np.random.default_rng((master_seed, sample_index, round_index))
-
-
 def expand_dataset(samples, spec: AugmentSpec, factor, rng):
     """Originals plus (factor - 1) augmented copies of each sample.
 
     Output order: all originals first, then augmented copies grouped by
-    round. freq_mix partners are drawn uniformly from the input set.
+    round. Every copy draws from `rng`, round by round and in sample
+    order, so a smaller factor's output is a prefix of a larger one's
+    under the same seed. freq_mix partners are drawn uniformly from the
+    input set.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
     samples = list(samples)
     out = list(samples)
-    master = int(rng.integers(0, 2**31)) if spec.seed is None else spec.seed
-    for round_index in range(1, factor):
-        for i, sample in enumerate(samples):
-            sub = _derive_rng(master, i, round_index)
-            out.append(apply_augment(sample, spec, sub, pool=samples))
+    for _ in range(1, factor):
+        out.extend(apply_augment(sample, spec, rng, pool=samples) for sample in samples)
     return out

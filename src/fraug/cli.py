@@ -54,7 +54,7 @@ def cmd_augment(args):
     # Whole series as one window: first half look-back, rest horizon.
     b = ds.length // 2
     sample = WindowSample.split(ds.values, b)
-    spec = AugmentSpec(kind=args.kind, rate=args.rate, seed=args.seed)
+    spec = AugmentSpec(kind=args.kind, rate=args.rate)
     rng = np.random.default_rng(args.seed)
     partner = None
     if args.kind in MIX_KINDS:
@@ -101,7 +101,7 @@ def cmd_train(args):
     model = DLinearModel.init_random(args.lookback, args.horizon, seed=args.seed)
     aug = None
     if args.kind != "none":
-        aug = AugmentSpec(kind=args.kind, rate=args.rate, seed=args.seed)
+        aug = AugmentSpec(kind=args.kind, rate=args.rate)
     model, trace = train(model, train_samples, val_samples, cfg, aug=aug)
     test = evaluate(model, make_windows(ds, "test", args.lookback, args.horizon))
     model.save(args.out)
@@ -129,6 +129,35 @@ DEFAULT_CONFIG = {
 }
 
 
+def _has_type(value, kind):
+    # JSON true/false are not numbers here; integers are valid floats.
+    if kind is float:
+        kind = (int, float)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _check_config_types(config):
+    """Each value has its default's type; a list holds its default items' type.
+
+    Lists must be non-empty, except kinds: the protocols always add the
+    "none" control, so an empty kinds list runs the control alone.
+    """
+    for key, default in DEFAULT_CONFIG.items():
+        value = config[key]
+        if key == "dataset":
+            ok, want = isinstance(value, str), "a string"
+        elif isinstance(default, list):
+            item = type(default[0])
+            empty_ok = key == "kinds"
+            ok = (isinstance(value, list) and (empty_ok or bool(value))
+                  and all(_has_type(v, item) for v in value))
+            want = f"a {'' if empty_ok else 'non-empty '}list of {item.__name__}"
+        else:
+            ok, want = _has_type(value, type(default)), type(default).__name__
+        if not ok:
+            raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
+
+
 def cmd_run(args):
     config = dict(DEFAULT_CONFIG)
     if args.config:
@@ -153,6 +182,7 @@ def cmd_run(args):
         config["fraction"] = args.fraction
     if config["dataset"] is None:
         raise ValueError("no dataset configured (use --dataset or a config file)")
+    _check_config_types(config)
 
     ds = split_and_normalize(load_csv(config["dataset"],
                                       date_column=config["date_column"]),

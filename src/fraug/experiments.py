@@ -94,7 +94,7 @@ def cross_validate_rate(ds, b, h, kind, grid=RATE_GRID, cfg=None, seed=0):
     for rate in grid:
         model = DLinearModel.init_random(b, h, seed=cfg.seed)
         model, trace = train(model, train_samples, val_samples, cfg,
-                             aug=AugmentSpec(kind=kind, rate=rate, seed=cfg.seed))
+                             aug=AugmentSpec(kind=kind, rate=rate))
         val = evaluate(model, val_samples)
         per_rate[rate] = val
         if val.mse < best_val:
@@ -135,7 +135,7 @@ def run_longterm(ds, horizons, kinds, b=96, cfg=None, seeds=(0,),
             for seed in seeds:
                 run_cfg = replace(cfg or TrainConfig(), seed=seed)
                 model = DLinearModel.init_random(b, h, seed=seed)
-                aug = None if kind == "none" else AugmentSpec(kind=kind, rate=rate, seed=seed)
+                aug = None if kind == "none" else AugmentSpec(kind=kind, rate=rate)
                 model, trace = train(model, train_samples, val_samples, run_cfg, aug=aug)
                 m = evaluate(model, test_samples)
                 report.cells.append(CellResult(
@@ -170,7 +170,7 @@ def run_coldstart(ds, h, kinds, b=96, fraction=0.01, factors=(2, 50),
             run_cfg = replace(cfg or TrainConfig(), seed=seed)
             best = None
             for factor in (1,) if kind == "none" else factors:
-                spec = AugmentSpec(kind=kind, rate=rate, seed=seed)
+                spec = AugmentSpec(kind=kind, rate=rate)
                 rng = np.random.default_rng(seed)
                 expanded = expand_dataset(train_small, spec, factor, rng)
                 model = DLinearModel.init_random(b, h, seed=seed)
@@ -227,6 +227,8 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
     validates on the newest tenth of the round's training windows, which
     the model also trains on: the validation is in-sample.
     """
+    if parts < 2:
+        raise ValueError(f"parts must be >= 2, got {parts}")
     t0 = time.time()
     kinds = ["none"] + [k for k in kinds if k != "none"]
     bounds = _part_bounds(ds.length, parts)
@@ -247,17 +249,14 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
                     raise ValueError(f"part {i}: span too short for windows")
                 if kind != "none":
                     schedule = ttt_copy_schedule(i)
-                    # Seedless spec: expansion randomness comes from the
-                    # per-round rng so each round gets fresh masks.
                     spec = AugmentSpec(kind=kind, rate=rate)
                     rng = np.random.default_rng((seed, i))
                     expanded = list(train_samples)
                     for rank, (lo, hi) in enumerate(bounds[:i]):
                         # Window k starts at column k: part [lo, hi) holds windows lo..hi-1.
                         part_samples = train_samples[lo:hi]
-                        copies = schedule[rank]
-                        if copies > 0 and part_samples:
-                            extra = expand_dataset(part_samples, spec, copies + 1, rng)
+                        if part_samples:
+                            extra = expand_dataset(part_samples, spec, schedule[rank] + 1, rng)
                             expanded.extend(extra[len(part_samples):])
                     train_set = expanded
                 else:

@@ -244,7 +244,7 @@ def test_criterion_09_overfitting_gap():
         cfg = TrainConfig(learning_rate=5e-3, batch_size=8, max_epochs=60,
                           patience=60, seed=seed)
         model = DLinearModel.init_random(48, 24, seed=seed)
-        aug = None if kind == "none" else AugmentSpec(kind=kind, rate=0.2, seed=seed)
+        aug = None if kind == "none" else AugmentSpec(kind=kind, rate=0.2)
         _, trace = train(model, train_all[:30], val_samples, cfg, aug=aug)
         return trace.val_loss[-1] - min(trace.train_loss)
 

@@ -350,19 +350,19 @@ class TestMbb:
 class TestExpandDataset:
     def test_factor_one_returns_originals(self):
         samples = [make_sample(seed=i) for i in range(3)]
-        out = expand_dataset(samples, AugmentSpec(kind="freq_mask", rate=0.3, seed=0),
+        out = expand_dataset(samples, AugmentSpec(kind="freq_mask", rate=0.3),
                              1, np.random.default_rng(0))
         assert out == samples
 
     def test_coldstart_expansion_count(self):
         samples = [make_sample(c=1, b=8, h=4, seed=i) for i in range(84)]
-        out = expand_dataset(samples, AugmentSpec(kind="freq_mask", rate=0.2, seed=1),
+        out = expand_dataset(samples, AugmentSpec(kind="freq_mask", rate=0.2),
                              50, np.random.default_rng(0))
         assert len(out) == 4200
 
     def test_kind_none_duplicates(self):
         samples = [make_sample(seed=i) for i in range(2)]
-        out = expand_dataset(samples, AugmentSpec(kind="none", seed=0),
+        out = expand_dataset(samples, AugmentSpec(kind="none"),
                              2, np.random.default_rng(0))
         assert len(out) == 4
         for orig, copy in zip(samples, out[2:]):
@@ -370,7 +370,7 @@ class TestExpandDataset:
 
     def test_originals_come_first(self):
         samples = [make_sample(seed=i) for i in range(3)]
-        out = expand_dataset(samples, AugmentSpec(kind="freq_mask", rate=0.5, seed=2),
+        out = expand_dataset(samples, AugmentSpec(kind="freq_mask", rate=0.5),
                              2, np.random.default_rng(0))
         assert out[:3] == samples
 
@@ -426,13 +426,44 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.lookback, b.lookback)
         np.testing.assert_array_equal(a.horizon, b.horizon)
 
-    def test_expand_deterministic(self):
+    @pytest.mark.parametrize("kind", ["freq_mask", "freq_mix", "noise"])
+    def test_expand_draws_round_by_round_from_rng(self, kind):
         samples = [make_sample(seed=i) for i in range(4)]
-        spec = AugmentSpec(kind="freq_mask", rate=0.4, seed=5)
-        out1 = expand_dataset(samples, spec, 3, np.random.default_rng(0))
-        out2 = expand_dataset(samples, spec, 3, np.random.default_rng(99))
-        for a, b in zip(out1, out2):
-            np.testing.assert_array_equal(a.lookback, b.lookback)
+        spec = AugmentSpec(kind=kind, rate=0.4)
+        rng = np.random.default_rng(0)
+        out = expand_dataset(samples, spec, 3, rng)
+        ref_rng = np.random.default_rng(0)
+        ref = list(samples)
+        for _ in range(2):
+            for sample in samples:
+                ref.append(apply_augment(sample, spec, ref_rng, pool=samples))
+        assert len(out) == len(ref) == 12
+        for a, b in zip(out, ref):
+            np.testing.assert_array_equal(a.concat(), b.concat())
+        assert rng.random() == ref_rng.random()
+
+    def test_expand_same_seed_same_copies_other_seed_other_copies(self):
+        samples = [make_sample(seed=i) for i in range(4)]
+        spec = AugmentSpec(kind="freq_mask", rate=0.4)
+        out1, out2, other = (expand_dataset(samples, spec, 3, np.random.default_rng(seed))
+                             for seed in (5, 5, 6))
+        for a, b, c in zip(out1[4:], out2[4:], other[4:]):
+            np.testing.assert_array_equal(a.concat(), b.concat())
+            assert not np.array_equal(a.concat(), c.concat())
+
+    def test_smaller_factor_is_a_prefix(self):
+        # run_coldstart's factor search reseeds per factor and relies on this.
+        samples = [make_sample(c=1, b=8, h=4, seed=i) for i in range(5)]
+        spec = AugmentSpec(kind="freq_mask", rate=0.2)
+        small = expand_dataset(samples, spec, 2, np.random.default_rng(3))
+        large = expand_dataset(samples, spec, 50, np.random.default_rng(3))
+        assert len(small) == 10 and len(large) == 250
+        for a, b in zip(small, large):
+            np.testing.assert_array_equal(a.concat(), b.concat())
+
+    def test_spec_has_no_seed(self):
+        with pytest.raises(TypeError):
+            AugmentSpec(seed=0)
 
 
 def test_spec_validation():

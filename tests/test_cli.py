@@ -248,6 +248,42 @@ class TestRun:
         assert run_cli("run", "--config", str(config)) == 1
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override,key", [
+        ({"kinds": "freq_mask"}, "kinds"),
+        ({"seeds": 3}, "seeds"),
+        ({"horizons": 24}, "horizons"),
+        ({"rate": "0.2"}, "rate"),
+        ({"lookback": 16.5}, "lookback"),
+        ({"epochs": "2"}, "epochs"),
+        ({"seeds": [True]}, "seeds"),
+        ({"epochs": True}, "epochs"),
+        ({"factors": []}, "factors"),
+        ({"rate_grid": [0.1, "0.2"]}, "rate_grid"),
+        ({"select_rates": 1}, "select_rates"),
+        ({"dataset": 5}, "dataset"),
+        ({"protocol": "ttt", "parts": 0}, "parts"),
+    ])
+    def test_bad_config_value_rejected(self, tmp_path, capsys, override, key):
+        src = make_series(tmp_path)
+        out_dir = tmp_path / "run"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "dataset": str(src), "lookback": 16, "horizons": [8],
+            "kinds": ["freq_mask"], "epochs": 2, "out": str(out_dir), **override,
+        }))
+        assert run_cli("run", "--config", str(config)) == 1
+        assert key in capsys.readouterr().err
+        assert not (out_dir / "report.json").exists()
+
+    def test_int_accepted_for_float_key(self, tmp_path):
+        src = make_series(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "dataset": str(src), "lookback": 16, "horizons": [8], "kinds": [],
+            "rate": 0, "epochs": 1, "out": str(tmp_path / "run"),
+        }))
+        assert run_cli("run", "--config", str(config)) == 0
+
     def test_no_dataset(self, capsys):
         assert run_cli("run", "--protocol", "longterm") == 1
         assert "dataset" in capsys.readouterr().err

@@ -168,6 +168,12 @@ class TestTtt:
         with pytest.raises(ValueError):
             run_ttt(ds, h=4, kinds=[], b=8, parts=50, cfg=quick_cfg())
 
+    @pytest.mark.parametrize("parts", [0, 1, -3])
+    def test_fewer_than_two_parts_rejected(self, parts):
+        ds = small_dataset(length=600)
+        with pytest.raises(ValueError, match="parts must be >= 2"):
+            run_ttt(ds, h=4, kinds=["freq_mask"], b=8, parts=parts, cfg=quick_cfg())
+
     def test_deterministic_given_seed(self):
         ds = small_dataset(length=600)
         reps = [run_ttt(ds, h=4, kinds=["freq_mask"], b=8, parts=3,

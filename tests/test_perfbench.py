@@ -1,8 +1,10 @@
-"""Smoke test: a short traced benchmark run passes every check.
+"""Smoke test: short traced benchmark runs pass every check.
 
-The run's exit status is 0 only when every operation and every check
-passed, including the call-count identities (loss rows equal originals
-plus augmented copies; spectral calls equal augmented windows). It
+A run's exit status is 0 only when every operation and every check
+passed, including the call-count identities: on longterm-mask, loss rows
+equal originals plus augmented copies and spectral calls equal augmented
+windows; on ttt-shift, each round's copies follow the 1 -> 5 ramp, each
+round fits once, and each expanded copy gets one transform pair. It
 writes its result under the git-ignored perfbench/out/.
 """
 
@@ -11,12 +13,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_longterm_mask_run_passes_checks():
+@pytest.mark.parametrize("workload", ["longterm-mask", "ttt-shift"])
+def test_traced_run_passes_checks(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "longterm-mask",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "3", "--seconds", "0.2", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
