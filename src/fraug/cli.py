@@ -3,8 +3,9 @@
 Subcommands: synth (generate a synthetic CSV), augment (one-shot
 augmentation of a series file), spectrum (amplitude-spectrum dump),
 train (fit one model, save a checkpoint), run (config-driven protocol
-dispatch). Every `run` writes a manifest.json with the fully resolved
-configuration so the run is reproducible.
+dispatch). Every `run` that completes writes a manifest.json with the
+fully resolved configuration, next to its report, so the run is
+reproducible.
 """
 
 import argparse
@@ -27,6 +28,7 @@ from .synth import SynthSpec, generate, write_csv
 # augment transforms one whole-series window, so there is no candidate
 # pool for asd to average over.
 AUGMENT_KINDS = tuple(k for k in ALL_KINDS if k != "asd")
+PROTOCOLS = ("longterm", "coldstart", "ttt")
 
 
 def _parse_tones(text):
@@ -140,7 +142,9 @@ def _check_config_types(config):
     """Each value has its default's type; a list holds its default items' type.
 
     Lists must be non-empty, except kinds: the protocols always add the
-    "none" control, so an empty kinds list runs the control alone.
+    "none" control, so an empty kinds list runs the control alone. The
+    protocol must be a known one and every seed >= 0, so a bad value
+    fails before the dataset is loaded.
     """
     for key, default in DEFAULT_CONFIG.items():
         value = config[key]
@@ -156,6 +160,12 @@ def _check_config_types(config):
             ok, want = _has_type(value, type(default)), type(default).__name__
         if not ok:
             raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
+    if config["protocol"] not in PROTOCOLS:
+        raise ValueError(f"config key 'protocol' must be one of {', '.join(PROTOCOLS)}, "
+                         f"got {config['protocol']!r}")
+    for seed in config["seeds"]:
+        if seed < 0:
+            raise ValueError(f"config key 'seeds' must hold seeds >= 0, got {seed}")
 
 
 def cmd_run(args):
@@ -189,8 +199,6 @@ def cmd_run(args):
                              scheme=config["scheme"])
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {"config": config, "version": __version__}
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
     cfg = TrainConfig(max_epochs=config["epochs"])
     dataset_id = Path(config["dataset"]).stem
@@ -207,12 +215,12 @@ def cmd_run(args):
                                fraction=config["fraction"],
                                factors=tuple(config["factors"]),
                                rate=config["rate"], **common)
-    elif protocol == "ttt":
+    else:
         report = run_ttt(ds, config["horizons"][0], config["kinds"],
                          parts=config["parts"], rate=config["rate"], **common)
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
 
+    manifest = {"config": config, "version": __version__}
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
     (out_dir / "report.json").write_text(report.to_json())
     _write_traces(report, out_dir)
     for line in report.summary_lines():
@@ -285,7 +293,7 @@ def build_parser():
 
     p = sub.add_parser("run", help="config-driven experiment protocols")
     p.add_argument("--config", default=None)
-    p.add_argument("--protocol", choices=["longterm", "coldstart", "ttt"], default=None)
+    p.add_argument("--protocol", choices=PROTOCOLS, default=None)
     p.add_argument("--dataset", default=None)
     p.add_argument("--scheme", choices=sorted(SPLIT_SCHEMES), default=None)
     p.add_argument("--horizon", type=int, default=None)

@@ -1,6 +1,7 @@
 """Benchmark CSV ingestion, normalization, splitting, and windowing."""
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -74,50 +75,86 @@ class WindowSample:
         return cls(lookback=window[:, :b], horizon=window[:, b:], start_index=start_index)
 
 
+def _split_rows(text, width, date_idx):
+    """(timestamps, (rows, width - 1) values) by plain splitting, or None.
+
+    None sends the caller to csv.reader: the text has a quote or a bare
+    carriage return, no data row, a row with another cell count, or a
+    cell that float() rejects.
+    """
+    body = text.replace("\r\n", "\n")
+    if '"' in body or "\r" in body:
+        return None
+    lines = body.split("\n")[1:]
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines or any(line.count(",") != width - 1 for line in lines):
+        return None
+    cells = ",".join(lines).split(",")
+    timestamps = cells[date_idx::width]
+    del cells[date_idx::width]
+    try:
+        values = np.array(list(map(float, cells)))
+    except ValueError:
+        return None
+    return timestamps, values.reshape(len(lines), width - 1)
+
+
+def _read_rows(reader, path, header, date_idx, value_cols):
+    timestamps = []
+    rows = []
+    for rownum, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}"
+            )
+        timestamps.append(row[date_idx])
+        try:
+            rows.append([float(row[i]) for i in value_cols])
+        except ValueError:
+            for i in value_cols:
+                try:
+                    float(row[i])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {rownum}, column {header[i]!r}: "
+                        f"cannot parse {row[i]!r} as a number"
+                    ) from None
+            raise
+    return timestamps, rows
+
+
 def load_csv(path, date_column="date") -> TimeSeriesDataset:
     """Parse a header-and-date-column CSV into a dataset.
 
-    All non-date columns are parsed as float64, in header order.
+    All non-date columns are parsed as float64, in header order. Text
+    with no quotes is split directly; anything that split cannot read
+    exactly is parsed again by csv.reader, which names the bad row.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise FileNotFoundError(f"cannot open dataset file {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file")
-        if date_column not in header:
-            raise ValueError(f"{path}: no column named {date_column!r} in header")
-        date_idx = header.index(date_column)
-        value_cols = [i for i in range(len(header)) if i != date_idx]
-        if not value_cols:
-            raise ValueError(f"{path}: no numeric columns besides {date_column!r}")
-        names = [header[i] for i in value_cols]
-        timestamps = []
-        rows = []
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}"
-                )
-            timestamps.append(row[date_idx])
-            try:
-                rows.append([float(row[i]) for i in value_cols])
-            except ValueError:
-                for i in value_cols:
-                    try:
-                        float(row[i])
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}: row {rownum}, column {header[i]!r}: "
-                            f"cannot parse {row[i]!r} as a number"
-                        ) from None
-                raise
-        if not rows:
-            raise ValueError(f"{path}: no data rows")
+        text = fh.read()
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file")
+    if date_column not in header:
+        raise ValueError(f"{path}: no column named {date_column!r} in header")
+    date_idx = header.index(date_column)
+    value_cols = [i for i in range(len(header)) if i != date_idx]
+    if not value_cols:
+        raise ValueError(f"{path}: no numeric columns besides {date_column!r}")
+    names = [header[i] for i in value_cols]
+    parsed = _split_rows(text, len(header), date_idx)
+    if parsed is None:
+        parsed = _read_rows(reader, path, header, date_idx, value_cols)
+    timestamps, rows = parsed
+    if len(rows) == 0:
+        raise ValueError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=np.float64).T
     return TimeSeriesDataset(values=values, channel_names=names, timestamps=timestamps)
 

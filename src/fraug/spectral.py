@@ -1,18 +1,34 @@
 """Real-input discrete Fourier transform for arbitrary lengths.
 
 Forward transform is unscaled, the inverse carries the 1/N factor.
-Lengths that factor into {2, 3, 5, 7} go through a mixed-radix
-Cooley-Tukey recursion with one recursive call per radix level: the
-input is viewed as p interleaved subsequences, all transformed by that
-one call, then combined with a cached twiddle table and one p x p DFT
-matrix product (radix 4 goes before 2, halving the levels for powers
-of two). Lengths up to _DIRECT_N, smooth or not, use a direct DFT
-matrix. Longer lengths that do not factor fall back to Bluestein's
+Real input is transformed as real, by one of three paths chosen from
+the length n:
+
+- n <= _REAL_N: one real matrix product against a cached (n, n+2)
+  table of interleaved cos and -sin columns, whose result viewed as
+  complex is the one-sided spectrum; the inverse is one product with
+  the matching weighted table. No complex temporary is made.
+- even n > _REAL_N: the even and odd samples are packed into one
+  half-length complex signal, transformed by the complex FFT below and
+  split into the one-sided spectrum with one cached twiddle pass; the
+  inverse runs the same steps backwards.
+- odd n > _REAL_N: the full complex FFT of the signal, truncated to
+  the one-sided bins; the inverse rebuilds the negative frequencies by
+  Hermitian symmetry.
+
+The complex FFT is a mixed-radix Cooley-Tukey recursion for lengths
+that factor into {2, 3, 5, 7}, with one recursive call per radix level:
+the input is viewed as p interleaved subsequences, all transformed by
+that one call, then combined with a cached twiddle table and one p x p
+DFT matrix product (radix 4 goes before 2, halving the levels for
+powers of two). Lengths up to _DIRECT_N, smooth or not, use a direct
+DFT matrix. Longer lengths that do not factor fall back to Bluestein's
 chirp-z algorithm, whose chirp and kernel spectrum are cached per
-length, so non-power-of-two window sizes (192, 288, 432, 816, ...) are
-handled exactly. The kernels are vectorized over leading axes so a
-whole batch of channels is transformed at once. Cached tables are
-read-only, so no caller can corrupt later transforms through them.
+length, so every length is handled exactly. The kernels are vectorized
+over leading axes so a whole batch of channels is transformed at once.
+Every inverse ignores the imaginary parts of the DC and Nyquist bins.
+Cached tables are read-only, so no caller can corrupt later transforms
+through them.
 """
 
 from dataclasses import dataclass
@@ -22,6 +38,7 @@ import numpy as np
 
 _RADICES = (4, 2, 3, 5, 7)
 _DIRECT_N = 64  # at or below this, use a direct DFT matrix
+_REAL_N = 384  # at or below this, one real-table matmul per transform
 
 
 @dataclass(frozen=True)
@@ -82,6 +99,41 @@ def _bluestein_kernel(n):
     return _frozen(chirp), _frozen(_fft(b))
 
 
+@lru_cache(maxsize=None)
+def _real_tables(n):
+    """Forward (n, 2k) and inverse (2k, n) real DFT tables, k = n//2 + 1.
+
+    Forward columns 2j and 2j+1 hold cos and -sin of 2*pi*j*t/n, so a
+    real row times the table, viewed as complex128, is the one-sided
+    spectrum. The inverse rows hold the same functions weighted by 1/n
+    for the DC and Nyquist bins and 2/n for the others, so a spectrum
+    viewed as float64 times the table is the real signal. The sine rows
+    and columns of the DC and Nyquist bins are zero: their imaginary
+    parts are not produced and are ignored on the way back.
+    """
+    k = n // 2 + 1
+    phase = 2 * np.pi * (np.outer(np.arange(n), np.arange(k)) % n) / n
+    fwd = np.empty((n, 2 * k))
+    fwd[:, 0::2] = np.cos(phase)
+    fwd[:, 1::2] = -np.sin(phase)
+    weights = np.full(k, 2.0 / n)
+    weights[0] = 1.0 / n
+    fwd[:, 1] = 0.0
+    if n % 2 == 0:
+        weights[-1] = 1.0 / n
+        fwd[:, -1] = 0.0
+    inv = fwd.T * np.repeat(weights, 2)[:, None]
+    return _frozen(fwd), _frozen(np.ascontiguousarray(inv))
+
+
+@lru_cache(maxsize=None)
+def _packed_twiddles(n):
+    # A = (1 - i*W)/2 and B = (1 + i*W)/2 with W[k] = exp(-2j*pi*k/n),
+    # k = 0..n/2: the split of a packed half-length FFT (even n).
+    w = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
+    return _frozen(0.5 * (1 - 1j * w)), _frozen(0.5 * (1 + 1j * w))
+
+
 def _fft(x):
     """Complex FFT along the last axis of x."""
     n = x.shape[-1]
@@ -117,23 +169,59 @@ def _ifft(x):
     return np.conj(_fft(np.conj(x))) / x.shape[-1]
 
 
+def _rfft_packed(x):
+    # Even n: z[t] = x[2t] + i*x[2t+1] is one half-length complex
+    # signal. With Z its DFT and Z[n/2] = Z[0], the one-sided spectrum
+    # is X[k] = A[k]*Z[k] + B[k]*conj(Z[n/2 - k]) for k = 0..n/2.
+    a, b = _packed_twiddles(x.shape[-1])
+    z = _fft(np.ascontiguousarray(x, dtype=np.float64).view(np.complex128))
+    ext = np.concatenate((z, z[..., :1]), axis=-1)
+    return a * ext + b * np.conj(ext[..., ::-1])
+
+
+def _irfft_packed(bins, n):
+    # Inverse of _rfft_packed: for k < n/2,
+    # Z[k] = conj(A[k])*X[k] + conj(B[k])*conj(X[n/2 - k]).
+    # Z[0] is rebuilt from the real parts of the DC and Nyquist bins
+    # alone, so their imaginary parts are ignored.
+    half = n // 2
+    a, b = _packed_twiddles(n)
+    z = np.conj(a[:half]) * bins[..., :half] + np.conj(b[:half] * bins[..., half:0:-1])
+    dc, nyquist = bins[..., 0].real, bins[..., half].real
+    z[..., 0] = 0.5 * ((dc + nyquist) + 1j * (dc - nyquist))
+    return np.ascontiguousarray(_ifft(z)).view(np.float64)
+
+
 def rfft_bins(x):
     """One-sided DFT bins along the last axis; no input validation."""
     n = x.shape[-1]
+    if n <= _REAL_N:
+        fwd, _ = _real_tables(n)
+        return (np.asarray(x, dtype=np.float64) @ fwd).view(np.complex128)
+    if n % 2 == 0:
+        return _rfft_packed(x)
     full = _fft(np.asarray(x, dtype=np.complex128))
     return full[..., : n // 2 + 1]
 
 
 def irfft_signal(bins, origin_len):
-    """Real inverse of rfft_bins along the last axis; no validation."""
+    """Real inverse of rfft_bins along the last axis; no validation.
+
+    The imaginary parts of the DC bin and, for even lengths, of the
+    Nyquist bin are ignored.
+    """
     n = origin_len
+    if n <= _REAL_N:
+        _, inv = _real_tables(n)
+        return np.ascontiguousarray(bins, dtype=np.complex128).view(np.float64) @ inv
+    if n % 2 == 0:
+        return _irfft_packed(bins, n)
     k = bins.shape[-1]
     full = np.empty(bins.shape[:-1] + (n,), dtype=np.complex128)
     full[..., :k] = bins
-    if n > 1:
-        # Negative frequencies from Hermitian symmetry.
-        tail = bins[..., 1: (n + 1) // 2]
-        full[..., k:] = np.conj(tail[..., ::-1])
+    # Negative frequencies from Hermitian symmetry.
+    tail = bins[..., 1: (n + 1) // 2]
+    full[..., k:] = np.conj(tail[..., ::-1])
     return np.real(_ifft(full))
 
 

@@ -1,6 +1,5 @@
 """Deterministic synthetic series generation in the ETT column layout."""
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,11 +45,16 @@ def generate(spec: SynthSpec):
 
 
 def write_csv(values, path):
-    """Write a (C, T) array as an ETT-convention CSV (date + channels)."""
-    c, t = values.shape
-    names = [f"ch{i}" for i in range(c)]
+    """Write a (C, T) array as an ETT-convention CSV (date + channels).
+
+    The bytes are those csv.writer writes: no cell needs quoting, each
+    value is repr(float), and each line ends in CRLF.
+    """
+    c, _ = values.shape
+    sep = "," if c else ""
+    rows = np.asarray(values, dtype=np.float64).T.tolist()
+    text = "".join([",".join(["date"] + [f"ch{i}" for i in range(c)]) + "\r\n"]
+                   + [f"t{i:06d}{sep}{','.join(map(repr, row))}\r\n"
+                      for i, row in enumerate(rows)])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date"] + names)
-        for i in range(t):
-            writer.writerow([f"t{i:06d}"] + [repr(float(values[ch, i])) for ch in range(c)])
+        fh.write(text)

@@ -262,6 +262,8 @@ class TestRun:
         ({"select_rates": 1}, "select_rates"),
         ({"dataset": 5}, "dataset"),
         ({"protocol": "ttt", "parts": 0}, "parts"),
+        ({"seeds": [0, -1]}, "seeds"),
+        ({"protocol": "bogus"}, "protocol"),
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, override, key):
         src = make_series(tmp_path)
@@ -274,6 +276,36 @@ class TestRun:
         assert run_cli("run", "--config", str(config)) == 1
         assert key in capsys.readouterr().err
         assert not (out_dir / "report.json").exists()
+        assert not (out_dir / "manifest.json").exists()
+
+    def test_negative_seed_names_key_and_value(self, tmp_path, capsys):
+        src = make_series(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"dataset": str(src), "seeds": [-1],
+                                      "out": str(tmp_path / "run")}))
+        assert run_cli("run", "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert "config key 'seeds' must hold seeds >= 0, got -1" in err
+
+    def test_seeds_accepted(self, tmp_path):
+        src = make_series(tmp_path)
+        out_dir = tmp_path / "run"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "dataset": str(src), "lookback": 16, "horizons": [8], "kinds": [],
+            "seeds": [0, 7], "epochs": 1, "out": str(out_dir),
+        }))
+        assert run_cli("run", "--config", str(config)) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert sorted({c["seed"] for c in report["cells"]}) == [0, 7]
+
+    def test_unknown_protocol_rejected_before_loading(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"protocol": "bogus",
+                                      "dataset": str(tmp_path / "absent.csv")}))
+        assert run_cli("run", "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert "'protocol'" in err and "'bogus'" in err and "absent.csv" not in err
 
     def test_int_accepted_for_float_key(self, tmp_path):
         src = make_series(tmp_path)

@@ -1,6 +1,11 @@
+import csv
+import io
+import re
+
 import numpy as np
 import pytest
 
+from fraug import dataset
 from fraug.dataset import (TimeSeriesDataset, WindowSample, load_csv, make_windows,
                            span_windows, split_and_normalize, take_last_fraction)
 from fraug.experiments import _part_bounds
@@ -44,6 +49,85 @@ def test_load_csv_ragged_row(tmp_path):
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_csv(tmp_path / "nope.csv")
+
+
+def _csv_writer_reference(values, path):
+    """The csv.writer loop that write_csv's one-join text must match."""
+    c, t = values.shape
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date"] + [f"ch{i}" for i in range(c)])
+        for i in range(t):
+            writer.writerow([f"t{i:06d}"] + [repr(float(values[ch, i])) for ch in range(c)])
+
+
+def _awkward_values():
+    values = np.random.default_rng(4).normal(size=(3, 50)) * 1e3
+    values[:, :4] = [[0.0, -0.0, 1e-300, 1e16],
+                     [-1e16, 5e-324, -1e-300, 123456789.125],
+                     [1.0, -2.5, 1e22, 0.1]]
+    return values
+
+
+@pytest.mark.parametrize("channels", [3, 1, 0])
+def test_write_csv_bytes_match_csv_writer(tmp_path, channels):
+    values = _awkward_values()[:channels]
+    write_csv(values, tmp_path / "new.csv")
+    _csv_writer_reference(values, tmp_path / "old.csv")
+    data = (tmp_path / "new.csv").read_bytes()
+    assert data == (tmp_path / "old.csv").read_bytes()
+    assert data.count(b"\r\n") == 51
+
+
+@pytest.mark.parametrize("header,line_end", [("date,ch0,ch1,ch2", "\r\n"),
+                                             ("ch0,date,ch1,ch2", "\n")])
+def test_split_parse_matches_csv_reader(header, line_end):
+    values = _awkward_values()
+    rows = []
+    for i, row in enumerate(values.T.tolist()):
+        cells = [repr(v) for v in row]
+        cells.insert(header.split(",").index("date"), f"t{i}")
+        rows.append(",".join(cells))
+    text = line_end.join([header] + rows) + line_end
+    reader = csv.reader(io.StringIO(text, newline=""))
+    head = next(reader)
+    date_idx = head.index("date")
+    value_cols = [i for i in range(len(head)) if i != date_idx]
+    want_ts, want_rows = dataset._read_rows(reader, "x.csv", head, date_idx, value_cols)
+    got_ts, got_rows = dataset._split_rows(text, len(head), date_idx)
+    assert got_ts == want_ts
+    np.testing.assert_array_equal(got_rows, np.asarray(want_rows))
+    np.testing.assert_array_equal(got_rows.T, values)
+
+
+def test_quoted_csv_reads_like_plain(tmp_path):
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    write_small_csv(plain, ["t0,1.0,4.0", "t1,2.0,5.0"])
+    write_small_csv(quoted, ['"t0",1.0,"4.0"', 't1,"2.0",5.0'], header='"date",a,b')
+    a, b = load_csv(plain), load_csv(quoted)
+    np.testing.assert_array_equal(a.values, b.values)
+    assert a.timestamps == b.timestamps and a.channel_names == b.channel_names
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "empty file"),
+    ("date,a,b\n", "no data rows"),
+    ("x,a,b\nt0,1,2\n", "no column named 'date' in header"),
+    ("date\nt0\n", "no numeric columns besides 'date'"),
+    ("date,a,b\nt0,1.0,4.0\nt1,2.0\n", "row 3 has 2 cells, expected 3"),
+    ("date,a,b\nt0,1.0,4.0\nt1,2.0,5.0,6.0\n", "row 3 has 4 cells, expected 3"),
+    ("date,a,b\nt0,1.0,4.0\n\nt2,3.0,6.0\n", "row 3 has 0 cells, expected 3"),
+    ("date,a,b\nt0,1.0,4.0\nt1,abc,5.0\n", "row 3, column 'a': cannot parse 'abc' as a number"),
+    ("date,a,b\nt0,1.0,\n", "row 2, column 'b': cannot parse '' as a number"),
+    ('date,a,b\nt0,"1,5",4.0\n', "row 2, column 'a': cannot parse '1,5' as a number"),
+    ("date,a,b\r\nt0,1.0,4.0\rt1,x,5.0\r\n",
+     "row 3, column 'a': cannot parse 'x' as a number"),
+])
+def test_malformed_csv_messages(tmp_path, text, message):
+    p = tmp_path / "d.csv"
+    p.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=re.escape(f"{p}: {message}") + "$"):
+        load_csv(p)
 
 
 def _synthetic_ds(length=1000, channels=2, seed=0, noise=0.5):

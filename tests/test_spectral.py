@@ -53,10 +53,58 @@ def test_batch_matches_row_by_row(n):
                                        rtol=0, atol=1e-12)
 
 
+PATH_LENGTHS = [1, 2, 3, 24, 191, 192, spectral._REAL_N, spectral._REAL_N + 1,
+                spectral._REAL_N + 2, 816, 1024, 17420]
+
+
+def _complex_path_bins(x):
+    n = x.shape[-1]
+    return spectral._fft(x.astype(complex))[..., : n // 2 + 1]
+
+
+def _normwise(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("shape", [(), (4, 3)])
+@pytest.mark.parametrize("n", PATH_LENGTHS)
+def test_every_path_matches_complex_fft(n, shape):
+    # Real table up to _REAL_N, packed half-length above it for even n,
+    # the complex FFT itself for odd n.
+    x = np.random.default_rng(n).normal(size=shape + (n,))
+    want = _complex_path_bins(x)
+    bins = rfft_bins(x)
+    assert bins.shape == want.shape
+    assert _normwise(bins, want) <= 1e-12
+    back = irfft_signal(want, n)
+    assert back.shape == x.shape and back.dtype == np.float64
+    assert _normwise(back, x) <= 1e-12
+
+
+@pytest.mark.parametrize("n", PATH_LENGTHS)
+def test_inverse_ignores_imaginary_dc_and_nyquist(n):
+    x = np.random.default_rng(n).normal(size=(4, 3, n))
+    bins = _complex_path_bins(x)
+    bins[..., 0] = bins[..., 0].real + 3.0j
+    if n % 2 == 0:
+        bins[..., -1] = bins[..., -1].real - 5.0j
+    assert _normwise(irfft_signal(bins, n), x) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 24, 191, 192, spectral._REAL_N])
+def test_real_table_dc_and_nyquist_bins_are_real(n):
+    bins = rfft_bins(np.random.default_rng(n).normal(size=(4, 3, n)))
+    assert np.all(bins[..., 0].imag == 0)
+    if n % 2 == 0:
+        assert np.all(bins[..., -1].imag == 0)
+
+
 def test_cached_tables_are_read_only():
     rfft(np.ones(191 * 2 * 5))  # fills the radix, direct and Bluestein caches
-    tables = [spectral._dft_matrix(5), spectral._radix_twiddles(1910, 2),
-              *spectral._bluestein_kernel(191)]
+    rfft(np.ones(spectral._REAL_N))  # and the real tables
+    tables = [spectral._dft_matrix(5), spectral._radix_twiddles(955, 5),
+              *spectral._bluestein_kernel(191), *spectral._packed_twiddles(1910),
+              *spectral._real_tables(spectral._REAL_N)]
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
