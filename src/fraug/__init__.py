@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .spectral import Spectrum, rfft, irfft, amplitude_spectrum
-from .dataset import (TimeSeriesDataset, WindowSample, load_csv,
+from .dataset import (TimeSeriesDataset, WindowSample, Windows, load_csv,
                       split_and_normalize, make_windows, take_last_fraction)
 from .augment import (AugmentSpec, create_random_mask, freq_mask, freq_mix,
                       freq_mask_keep_dominant, freq_mask_then_mix,

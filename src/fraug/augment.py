@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import WindowSample
+from .dataset import Windows, WindowSample
 from .spectral import irfft_signal, rfft_bins
 
 FREQ_KINDS = ("freq_mask", "freq_mix", "freq_mask_keep_dominant", "freq_mask_then_mix")
@@ -340,16 +340,23 @@ def apply_augment(sample, spec: AugmentSpec, rng, partner=None, pool=None):
 def expand_dataset(samples, spec: AugmentSpec, factor, rng):
     """Originals plus (factor - 1) augmented copies of each sample.
 
-    Output order: all originals first, then augmented copies grouped by
-    round. Every copy draws from `rng`, round by round and in sample
-    order, so a smaller factor's output is a prefix of a larger one's
-    under the same seed. freq_mix partners are drawn uniformly from the
-    input set.
+    samples is a Windows set or a list of WindowSamples. The result is
+    a Windows set whose one contiguous array holds all originals first,
+    then the augmented copies grouped by round. Every copy draws from
+    `rng`, round by round and in sample order, so a smaller factor's
+    output is a prefix of a larger one's under the same seed. freq_mix
+    partners are drawn uniformly from the input set.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    samples = list(samples)
-    out = list(samples)
-    for _ in range(1, factor):
-        out.extend(apply_augment(sample, spec, rng, pool=samples) for sample in samples)
-    return out
+    samples = Windows.of(samples)
+    originals = list(samples)
+    copies = [apply_augment(sample, spec, rng, pool=samples)
+              for _ in range(1, factor) for sample in originals]
+    n, b = len(samples), samples.b
+    data = np.empty((factor * n,) + samples.data.shape[1:])
+    data[:n] = samples.data
+    if copies:
+        data[n:, :, :b] = [c.lookback for c in copies]
+        data[n:, :, b:] = [c.horizon for c in copies]
+    return Windows(data, b, np.tile(samples.starts, factor))

@@ -1,4 +1,10 @@
-"""Benchmark CSV ingestion, normalization, splitting, and windowing."""
+"""Benchmark CSV ingestion, normalization, splitting, and windowing.
+
+A set of windows is one Windows object: an (n, C, b+h) array whose
+window k is a look-back (its first b columns) followed by a horizon,
+plus the start column of each window. A training batch is one fancy
+index into that array; WindowSample is the single-window view.
+"""
 
 import csv
 import io
@@ -208,12 +214,75 @@ def split_and_normalize(ds: TimeSeriesDataset, scheme="generic") -> TimeSeriesDa
     )
 
 
+class Windows:
+    """n windows as one (n, C, b+h) array ``data`` plus their start columns.
+
+    ``ws[k]`` is window k as a WindowSample of views, ``ws[i:j]`` a set
+    of views, and iteration yields WindowSamples in order.
+    ``ws.lookback`` and ``ws.horizon`` are (n, C, b) and (n, C, h) views;
+    ``ws.batch(idx)`` is one fancy index into them, giving contiguous
+    copies of the windows at ``idx``.
+    """
+
+    def __init__(self, data, b, starts):
+        self.data = data
+        self.b = b
+        self.starts = starts
+
+    @classmethod
+    def of(cls, samples):
+        """A set as is; a list of WindowSamples stacked once into one array."""
+        if isinstance(samples, cls):
+            return samples
+        samples = list(samples)
+        if not samples:
+            return cls(np.empty((0, 0, 0)), 0, np.empty(0, dtype=np.intp))
+        shape = samples[0].shape
+        for k, s in enumerate(samples):
+            if s.shape != shape:
+                raise ValueError(f"window {k} has shape (C, b, h) = {s.shape}, "
+                                 f"window 0 has {shape}")
+        look = np.array([s.lookback for s in samples], dtype=np.float64)
+        hor = np.array([s.horizon for s in samples], dtype=np.float64)
+        return cls(np.concatenate([look, hor], axis=2), shape[1],
+                   np.array([s.start_index for s in samples]))
+
+    @classmethod
+    def concat(cls, sets):
+        """The windows of ``sets``, in order, copied into one array."""
+        return cls(np.concatenate([ws.data for ws in sets]), sets[0].b,
+                   np.concatenate([ws.starts for ws in sets]))
+
+    @property
+    def lookback(self):
+        return self.data[:, :, :self.b]
+
+    @property
+    def horizon(self):
+        return self.data[:, :, self.b:]
+
+    def __len__(self):
+        return len(self.data)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Windows(self.data[k], self.b, self.starts[k])
+        return WindowSample.split(self.data[k], self.b, int(self.starts[k]))
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def batch(self, idx):
+        """(look-back, horizon) of the windows at ``idx``, each a fresh contiguous array."""
+        return self.data[idx, :, :self.b], self.data[idx, :, self.b:]
+
+
 def make_windows(ds: TimeSeriesDataset, split, b, h, stride=1):
     """Produce (look-back, horizon) samples from one split.
 
     With stride 1 the count is split_length - b - h (the final alignable
     window is dropped, matching the benchmark sample arithmetic). The
-    samples are read-only views of ds.values (see span_windows).
+    Windows are a read-only view of ds.values (see span_windows).
     """
     if b < 1 or h < 1:
         raise ValueError("b and h must be >= 1")
@@ -229,26 +298,30 @@ def make_windows(ds: TimeSeriesDataset, split, b, h, stride=1):
 
 
 def span_windows(values, lo, hi, b, h, stride=1):
-    """Samples fully inside columns [lo, hi) of a (C, T) array.
+    """Windows fully inside columns [lo, hi) of a (C, T) array.
 
-    Sample k starts at column s = lo + k * stride: look-back
+    Window k starts at column s = lo + k * stride: look-back
     values[:, s:s+b], horizon the next h columns. The final alignable
-    window is dropped, so a span of at most b+h columns gives none.
-    Nothing is copied: every sample is a read-only view of `values`.
+    window is dropped, so a span of at most b+h columns gives an empty
+    set. Nothing is copied: ``data`` is a read-only strided view of
+    `values`.
     """
     n = b + h
+    starts = np.arange(lo, hi - n, stride)
     if hi - lo <= n:
-        return []
-    windows = sliding_window_view(values[:, lo:hi], n, axis=1)
-    return [WindowSample.split(windows[:, k], b, start_index=lo + k)
-            for k in range(0, hi - lo - n, stride)]
+        return Windows(np.empty((0, values.shape[0], n)), b, starts)
+    data = sliding_window_view(values[:, lo:hi], n, axis=1).transpose(1, 0, 2)
+    return Windows(data[:hi - lo - n:stride], b, starts)
 
 
 def take_last_fraction(samples, fraction):
-    """Final floor(fraction * n) samples (at least one), order preserved."""
+    """Final floor(fraction * n) samples (at least one), order preserved.
+
+    A Windows set gives a slice of itself.
+    """
     if not samples:
         raise ValueError("empty sample list")
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     count = max(1, math.floor(fraction * len(samples)))
-    return list(samples[-count:])
+    return samples[-count:]

@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .augment import AugmentSpec, expand_dataset
-from .dataset import TimeSeriesDataset, make_windows, span_windows, take_last_fraction
+from .dataset import (TimeSeriesDataset, Windows, make_windows, span_windows,
+                      take_last_fraction)
 from .forecaster import DLinearModel, Metrics, TrainConfig, evaluate, train
 
 RATE_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -225,7 +226,8 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
     With augmentation, each training sample gets extra copies per the
     1 -> 5 ramp: more copies for samples from newer parts. Early stopping
     validates on the newest tenth of the round's training windows, which
-    the model also trains on: the validation is in-sample.
+    the model also trains on: the validation is in-sample, and each
+    cell's extra records it as val_in_sample.
     """
     if parts < 2:
         raise ValueError(f"parts must be >= 2, got {parts}")
@@ -251,14 +253,14 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
                     schedule = ttt_copy_schedule(i)
                     spec = AugmentSpec(kind=kind, rate=rate)
                     rng = np.random.default_rng((seed, i))
-                    expanded = list(train_samples)
+                    sets = [train_samples]
                     for rank, (lo, hi) in enumerate(bounds[:i]):
                         # Window k starts at column k: part [lo, hi) holds windows lo..hi-1.
                         part_samples = train_samples[lo:hi]
                         if part_samples:
                             extra = expand_dataset(part_samples, spec, schedule[rank] + 1, rng)
-                            expanded.extend(extra[len(part_samples):])
-                    train_set = expanded
+                            sets.append(extra[len(part_samples):])
+                    train_set = Windows.concat(sets)
                 else:
                     train_set = train_samples
                 n_val = max(1, len(train_samples) // 10)
@@ -275,7 +277,8 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
                 mse=float(np.mean(part_losses)),
                 mae=float(np.mean(part_maes)),
                 extra={"part_losses": part_losses, "part_maes": part_maes,
-                       "copy_schedule": ttt_copy_schedule(parts - 1)},
+                       "copy_schedule": ttt_copy_schedule(parts - 1),
+                       "val_in_sample": True},
             ))
     report.wall_clock_s = time.time() - t0
     return report

@@ -9,7 +9,10 @@ gradient descent with adaptive-moment updates on one flat vector that
 holds all four parameters, early stopping on validation loss, and
 optional batch-wise augmentation: the configured batch is halved, every
 half-batch sample is augmented once, and the model trains on the
-doubled batch.
+doubled batch. Windows arrive as one dataset.Windows set (a list of
+WindowSamples is stacked once on entry): each step's originals are one
+fancy index into its array, and the validation and test look-backs and
+horizons are slices of it.
 """
 
 import json
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import AugmentSpec, apply_augment
+from .dataset import Windows
 
 CHECKPOINT_MAGIC = "FRAUG-DLINEAR-v1"
 
@@ -27,11 +31,12 @@ def moving_average_matrix(b, kernel):
     if kernel < 1:
         raise ValueError("kernel must be >= 1")
     pad_front = (kernel - 1) // 2
+    rows = np.repeat(np.arange(b), kernel)
+    src = np.clip(rows - pad_front + np.tile(np.arange(kernel), b), 0, b - 1)
     a = np.zeros((b, b))
-    for t in range(b):
-        for j in range(kernel):
-            src = min(max(t - pad_front + j, 0), b - 1)
-            a[t, src] += 1.0 / kernel
+    # Unbuffered and in index order: the same sums, in the same order, as
+    # adding 1/kernel at (t, src) for t, then j = 0..kernel-1.
+    np.add.at(a, (rows, src), 1.0 / kernel)
     return a
 
 
@@ -281,12 +286,6 @@ class _Adam:
         self.params -= update
 
 
-def _stack(samples):
-    look = np.array([s.lookback for s in samples])
-    hor = np.array([s.horizon for s in samples])
-    return look, hor
-
-
 def train(model, train_samples, val_samples, cfg: TrainConfig,
           aug: AugmentSpec | None = None):
     """Fit the model; returns (model, TrainingTrace).
@@ -294,15 +293,17 @@ def train(model, train_samples, val_samples, cfg: TrainConfig,
     With augmentation, each step takes half a batch of originals and
     augments each sample once, so the effective step size equals the
     configured batch size. Early stopping restores the best-validation
-    parameters.
+    parameters. Both sets are Windows or lists of WindowSamples.
     """
+    train_samples, val_samples = Windows.of(train_samples), Windows.of(val_samples)
     if not train_samples or not val_samples:
         raise ValueError("train and validation sets must be non-empty")
     augmenting = aug is not None and aug.kind != "none"
     rng = np.random.default_rng(cfg.seed)
     opt = _Adam(model.params().flat, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
     trace = TrainingTrace()
-    val_look, val_hor = _stack(val_samples)
+    # Copied once: forward_batch would copy a strided view on every epoch.
+    val_look = np.ascontiguousarray(val_samples.lookback)
     best = model.copy_params()
     best_val = np.inf
     bad_epochs = 0
@@ -313,18 +314,23 @@ def train(model, train_samples, val_samples, cfg: TrainConfig,
         order = rng.permutation(len(train_samples))
         epoch_losses = []
         for lo in range(0, len(order), step_size):
-            batch = [train_samples[i] for i in order[lo: lo + step_size]]
+            idx = order[lo: lo + step_size]
+            look, hor = train_samples.batch(idx)
             if augmenting:
-                batch = batch + [apply_augment(s, aug, rng, pool=train_samples)
-                                 for s in batch]
-            look, hor = _stack(batch)
+                copies = [apply_augment(train_samples[i], aug, rng, pool=train_samples)
+                          for i in idx]
+                look = np.concatenate([look, [c.lookback for c in copies]])
+                hor = np.concatenate([hor, [c.horizon for c in copies]])
             loss, grads = loss_and_grads(model, look, hor)
             if not np.isfinite(loss):
                 raise FloatingPointError(f"divergence at epoch {epoch}")
             epoch_losses.append(loss)
             opt.step(grads.flat)
-        val_pred = model.forward_batch(val_look)
-        val_loss = float(np.mean((val_pred - val_hor) ** 2))
+        # In place: on a large validation set these temporaries set the peak memory.
+        val_err = model.forward_batch(val_look)
+        val_err -= val_samples.horizon
+        val_err *= val_err
+        val_loss = float(np.mean(val_err))
         if not np.isfinite(val_loss):
             raise FloatingPointError(f"divergence at epoch {epoch}")
         trace.train_loss.append(float(np.mean(epoch_losses)))
@@ -343,15 +349,16 @@ def train(model, train_samples, val_samples, cfg: TrainConfig,
 
 
 def evaluate(model, samples) -> Metrics:
-    """Mean squared / absolute error over all samples, channels, steps."""
+    """Mean squared / absolute error over all samples, channels, steps.
+
+    samples is a Windows set or a list of WindowSamples; the horizons
+    are read in place, never copied.
+    """
+    samples = Windows.of(samples)
     if not samples:
         raise ValueError("empty sample set")
-    look, hor = _stack(samples)
-    err = model.forward_batch(look)
-    err -= hor
-    # Free the stacked windows before the squared and absolute errors are
-    # formed: on a large test set this is the peak memory of a run.
-    del look, hor
+    err = model.forward_batch(samples.lookback)
+    err -= samples.horizon
     return Metrics(
         mse=float(np.mean(err * err)),
         mae=float(np.mean(np.abs(err))),

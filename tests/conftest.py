@@ -63,6 +63,18 @@ def make_sample(c=2, b=16, h=8, seed=0):
     )
 
 
+def assert_windows_equal(samples, reference):
+    """Window by window: equal look-back and horizon arrays and equal start.
+
+    reference is a sequence of (lookback, horizon, start_index) triples.
+    """
+    assert len(samples) == len(reference)
+    for sample, (look, hor, start) in zip(samples, reference):
+        np.testing.assert_array_equal(sample.lookback, look)
+        np.testing.assert_array_equal(sample.horizon, hor)
+        assert sample.start_index == start
+
+
 def tone_sample(c, b, h, bin_k, amplitude=1.0):
     """Sample whose concatenation is a pure cosine at one-sided bin k."""
     n = b + h

@@ -8,10 +8,10 @@ from fraug.augment import (AugmentSpec, apply_augment, asd_augment,
                            dtw_distance, expand_dataset, freq_mask,
                            freq_mask_keep_dominant, freq_mask_then_mix,
                            freq_mix, mbb_augment)
-from fraug.dataset import WindowSample
+from fraug.dataset import WindowSample, Windows, span_windows
 from fraug.spectral import rfft
 
-from conftest import dtw_brute, make_sample, tone_sample
+from conftest import assert_windows_equal, dtw_brute, make_sample, tone_sample
 
 
 def assert_samples_close(a, b, atol=1e-9):
@@ -352,7 +352,7 @@ class TestExpandDataset:
         samples = [make_sample(seed=i) for i in range(3)]
         out = expand_dataset(samples, AugmentSpec(kind="freq_mask", rate=0.3),
                              1, np.random.default_rng(0))
-        assert out == samples
+        assert_windows_equal(out, [(s.lookback, s.horizon, s.start_index) for s in samples])
 
     def test_coldstart_expansion_count(self):
         samples = [make_sample(c=1, b=8, h=4, seed=i) for i in range(84)]
@@ -372,7 +372,26 @@ class TestExpandDataset:
         samples = [make_sample(seed=i) for i in range(3)]
         out = expand_dataset(samples, AugmentSpec(kind="freq_mask", rate=0.5),
                              2, np.random.default_rng(0))
-        assert out[:3] == samples
+        assert_windows_equal(out[:3], [(s.lookback, s.horizon, s.start_index)
+                                       for s in samples])
+
+    @pytest.mark.parametrize("kind", ["freq_mask", "freq_mix"])
+    def test_window_set_equals_per_window_loop(self, kind):
+        values = np.random.default_rng(1).normal(size=(2, 90))
+        windows = span_windows(values, 0, 90, 12, 6, stride=4)
+        spec = AugmentSpec(kind=kind, rate=0.3)
+        rng = np.random.default_rng(9)
+        out = expand_dataset(windows, spec, 3, rng)
+        ref_rng = np.random.default_rng(9)
+        ref = [(w.lookback, w.horizon, w.start_index) for w in windows]
+        for _ in range(2):
+            for w in windows:
+                copy = apply_augment(w, spec, ref_rng, pool=list(windows))
+                ref.append((copy.lookback, copy.horizon, w.start_index))
+        assert isinstance(out, Windows) and out.data.flags.c_contiguous
+        assert out.data.shape == (3 * len(windows), 2, 18)
+        assert_windows_equal(out, ref)
+        assert rng.random() == ref_rng.random()
 
 
 class TestMixPartner:

@@ -236,6 +236,8 @@ class TestRun:
         for cell in report["cells"]:
             assert len(cell["extra"]["part_maes"]) == 2
             assert cell["mae"] == pytest.approx(np.mean(cell["extra"]["part_maes"]))
+            # Early stopping validates on training windows; the report says so.
+            assert cell["extra"]["val_in_sample"] is True
 
     def test_jobs_flag_removed(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from fraug import dataset
-from fraug.dataset import (TimeSeriesDataset, WindowSample, load_csv, make_windows,
-                           span_windows, split_and_normalize, take_last_fraction)
+from fraug.dataset import (TimeSeriesDataset, WindowSample, Windows, load_csv,
+                           make_windows, span_windows, split_and_normalize,
+                           take_last_fraction)
 from fraug.experiments import _part_bounds
 from fraug.synth import SynthSpec, generate, write_csv
+
+from conftest import assert_windows_equal
 
 
 def write_small_csv(path, rows, header="date,a,b"):
@@ -211,14 +214,6 @@ def copied_windows(values, lo, hi, b, h, stride=1):
             for s in range(lo, hi - b - h, stride)]
 
 
-def assert_windows_equal(samples, reference):
-    assert len(samples) == len(reference)
-    for sample, (look, hor, start) in zip(samples, reference):
-        np.testing.assert_array_equal(sample.lookback, look)
-        np.testing.assert_array_equal(sample.horizon, hor)
-        assert sample.start_index == start
-
-
 @pytest.mark.parametrize("split,stride", [("train", 1), ("val", 1), ("test", 3),
                                           ("train", 8)])
 def test_make_windows_equal_copied_windows(split, stride):
@@ -238,15 +233,20 @@ def test_ttt_span_windows_equal_copied_windows():
         assert_windows_equal(train, copied_windows(ds.values, 0, bounds[i - 1][1], b, h))
         assert_windows_equal(span_windows(ds.values, *bounds[i], b, h),
                              copied_windows(ds.values, *bounds[i], b, h))
-        # A part's windows are a slice of the training list: window k starts at k.
+        # A part's windows are a slice of the training set: window k starts at k.
         for lo, hi in bounds[:i]:
-            assert train[lo:hi] == [w for w in train if lo <= w.start_index < hi]
+            part = train[lo:hi]
+            assert isinstance(part, Windows)
+            assert_windows_equal(part, [(w.lookback, w.horizon, w.start_index)
+                                        for w in train if lo <= w.start_index < hi])
 
 
 @pytest.mark.parametrize("span", [0, 5, 11, 12])
 def test_span_windows_empty_when_span_at_most_b_plus_h(span):
     values = np.arange(40.0)[None]
-    assert span_windows(values, 10, 10 + span, 8, 4) == []
+    empty = span_windows(values, 10, 10 + span, 8, 4)
+    assert isinstance(empty, Windows) and len(empty) == 0 and list(empty) == []
+    assert empty.data.shape == (0, 1, 12) and empty.starts.shape == (0,)
     assert len(span_windows(values, 10, 10 + 13, 8, 4)) == 1
 
 
@@ -281,6 +281,50 @@ def test_window_sample_split():
     np.testing.assert_array_equal(sample.horizon, window[:, 4:])
     assert sample.shape == (2, 4, 2) and sample.start_index == 7
     np.testing.assert_array_equal(sample.concat(), window)
+
+
+def test_windows_set_access():
+    values = np.arange(60.0).reshape(2, 30)
+    ws = span_windows(values, 3, 30, 5, 3, stride=2)
+    ref = copied_windows(values, 3, 30, 5, 3, stride=2)
+    assert_windows_equal(ws, ref)
+    assert_windows_equal(list(ws), ref)
+    assert_windows_equal(ws[-1:], ref[-1:])
+    assert isinstance(ws[2:5], Windows) and ws[2:5].b == 5
+    assert_windows_equal(ws[2:5], ref[2:5])
+    sample = ws[-2]
+    assert isinstance(sample, WindowSample)
+    assert isinstance(sample.start_index, int) and sample.start_index == ref[-2][2]
+    assert ws.data.shape == (len(ref), 2, 8) and not ws.data.flags.owndata
+
+
+def test_windows_of_passes_a_set_and_stacks_a_list_once():
+    values = np.arange(60.0).reshape(2, 30)
+    ws = span_windows(values, 0, 30, 5, 3)
+    assert Windows.of(ws) is ws
+    stacked = Windows.of(list(ws))
+    assert stacked.data.flags.c_contiguous and stacked.b == 5
+    np.testing.assert_array_equal(stacked.data, ws.data)
+    np.testing.assert_array_equal(stacked.starts, ws.starts)
+    assert len(Windows.of([])) == 0
+
+
+def test_windows_of_rejects_mixed_shapes():
+    samples = [WindowSample(np.zeros((2, 5)), np.zeros((2, 3))),
+               WindowSample(np.zeros((2, 5)), np.zeros((2, 3))),
+               WindowSample(np.zeros((2, 4)), np.zeros((2, 3)))]
+    with pytest.raises(ValueError, match=re.escape(
+            "window 2 has shape (C, b, h) = (2, 4, 3), window 0 has (2, 5, 3)")):
+        Windows.of(samples)
+
+
+def test_take_last_fraction_of_a_set_is_a_slice():
+    ds = split_and_normalize(_synthetic_ds(), scheme="generic")
+    ws = make_windows(ds, "train", 24, 12)
+    out = take_last_fraction(ws, 0.1)
+    assert isinstance(out, Windows) and len(out) == 66
+    assert np.shares_memory(out.data, ds.values)
+    assert_windows_equal(out, [(w.lookback, w.horizon, w.start_index) for w in ws][-66:])
 
 
 def test_take_last_fraction():

@@ -1,13 +1,15 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from fraug.augment import AugmentSpec
-from fraug.dataset import WindowSample
+from fraug.dataset import TimeSeriesDataset, WindowSample, make_windows, split_and_normalize
 from fraug.forecaster import (DLinearModel, Metrics, TrainConfig, _Adam,
                               _FlatParams, evaluate, forward, loss_and_grads,
                               moving_average_matrix, train)
+from fraug.synth import SynthSpec, generate
 
 from conftest import make_sample
 
@@ -23,6 +25,22 @@ def linear_samples(n, c=1, b=4, h=2, slope=2.0, seed=0):
         s = np.tile(series, (c, 1))
         samples.append(WindowSample(lookback=s[:, :b].copy(), horizon=s[:, b:].copy()))
     return samples
+
+
+def moving_average_loop(b, kernel):
+    """Reference: the replicate-padded centered average, one addition at a time."""
+    pad_front = (kernel - 1) // 2
+    a = np.zeros((b, b))
+    for t in range(b):
+        for j in range(kernel):
+            a[t, min(max(t - pad_front + j, 0), b - 1)] += 1.0 / kernel
+    return a
+
+
+@pytest.mark.parametrize("b,kernel", [(96, 25), (16, 25), (5, 3), (7, 1), (8, 4)])
+def test_moving_average_matrix_equals_loop(b, kernel):
+    np.testing.assert_array_equal(moving_average_matrix(b, kernel),
+                                  moving_average_loop(b, kernel))
 
 
 class TestForward:
@@ -312,6 +330,64 @@ class TestTrain:
         model = DLinearModel.init_random(b=4, h=2, seed=0)
         with pytest.raises(ValueError):
             train(model, [], linear_samples(2), TrainConfig())
+
+
+class TestWindowSetPath:
+    """train/evaluate on one Windows array against the per-sample list path."""
+
+    @staticmethod
+    def _sets():
+        ds = split_and_normalize(TimeSeriesDataset(
+            values=generate(SynthSpec(length=600, channels=2, tones=[(24.0, 1.0)],
+                                      noise_std=0.4, seed=2)),
+            channel_names=["a", "b"]), "generic")
+        return [make_windows(ds, split, 24, 12) for split in ("train", "val", "test")]
+
+    @pytest.mark.parametrize("kind", ["none", "freq_mask"])
+    def test_set_and_list_give_identical_fits(self, kind):
+        sets = self._sets()
+        results = []
+        for as_list in (False, True):
+            tr, va, te = (list(ws) if as_list else ws for ws in sets)
+            assert isinstance(tr, list) == as_list
+            model = DLinearModel.init_random(24, 12, seed=5)
+            aug = None if kind == "none" else AugmentSpec(kind=kind, rate=0.3)
+            model, trace = train(model, tr, va,
+                                 TrainConfig(batch_size=16, max_epochs=4, seed=6), aug=aug)
+            results.append((model.params().flat.copy(), trace, evaluate(model, te)))
+        (p_set, t_set, m_set), (p_list, t_list, m_list) = results
+        np.testing.assert_array_equal(p_set, p_list)
+        assert t_set == t_list and len(t_set.train_loss) == 4
+        assert m_set == m_list
+
+    def test_batch_is_one_contiguous_fancy_index(self):
+        train_set = self._sets()[0]
+        idx = np.array([5, 0, 17, 5])
+        look, hor = train_set.batch(idx)
+        assert look.flags.c_contiguous and hor.flags.c_contiguous
+        np.testing.assert_array_equal(look, np.stack([train_set[i].lookback for i in idx]))
+        np.testing.assert_array_equal(hor, np.stack([train_set[i].horizon for i in idx]))
+
+    def test_mismatched_list_rejected_naming_index_and_shapes(self):
+        samples = [make_sample(c=1, b=8, h=4, seed=i) for i in range(3)]
+        samples.append(make_sample(c=2, b=8, h=4, seed=3))
+        model = DLinearModel.init_random(b=8, h=4, seed=0)
+        msg = re.escape("window 3 has shape (C, b, h) = (2, 8, 4), window 0 has (1, 8, 4)")
+        with pytest.raises(ValueError, match=msg):
+            train(model, samples, samples[:2], TrainConfig())
+        with pytest.raises(ValueError, match=msg):
+            evaluate(model, samples)
+
+    def test_empty_set_rejected_like_empty_list(self):
+        train_set, val_set, _ = self._sets()
+        empty = val_set[:0]
+        model = DLinearModel.init_random(b=24, h=12, seed=0)
+        for tr, va in ((empty, val_set), (train_set, empty), ([], val_set)):
+            with pytest.raises(ValueError, match="train and validation sets must be non-empty"):
+                train(model, tr, va, TrainConfig())
+        for samples in (empty, []):
+            with pytest.raises(ValueError, match="empty sample set"):
+                evaluate(model, samples)
 
 
 class TestTrainConfigValidation:
