@@ -350,13 +350,12 @@ def expand_dataset(samples, spec: AugmentSpec, factor, rng):
     if factor < 1:
         raise ValueError("factor must be >= 1")
     samples = Windows.of(samples)
-    originals = list(samples)
-    copies = [apply_augment(sample, spec, rng, pool=samples)
-              for _ in range(1, factor) for sample in originals]
     n, b = len(samples), samples.b
     data = np.empty((factor * n,) + samples.data.shape[1:])
     data[:n] = samples.data
-    if copies:
-        data[n:, :, :b] = [c.lookback for c in copies]
-        data[n:, :, b:] = [c.horizon for c in copies]
+    # Each copy goes straight into its row, so no list of copies is kept.
+    for k, sample in enumerate(list(samples) * (factor - 1), start=n):
+        copy = apply_augment(sample, spec, rng, pool=samples)
+        data[k, :, :b] = copy.lookback
+        data[k, :, b:] = copy.horizon
     return Windows(data, b, np.tile(samples.starts, factor))

@@ -220,8 +220,8 @@ class Windows:
     ``ws[k]`` is window k as a WindowSample of views, ``ws[i:j]`` a set
     of views, and iteration yields WindowSamples in order.
     ``ws.lookback`` and ``ws.horizon`` are (n, C, b) and (n, C, h) views;
-    ``ws.batch(idx)`` is one fancy index into them, giving contiguous
-    copies of the windows at ``idx``.
+    ``ws.lookback[idx]`` is one fancy index, a contiguous copy of the
+    look-backs at ``idx``.
     """
 
     def __init__(self, data, b, starts):
@@ -247,12 +247,6 @@ class Windows:
         return cls(np.concatenate([look, hor], axis=2), shape[1],
                    np.array([s.start_index for s in samples]))
 
-    @classmethod
-    def concat(cls, sets):
-        """The windows of ``sets``, in order, copied into one array."""
-        return cls(np.concatenate([ws.data for ws in sets]), sets[0].b,
-                   np.concatenate([ws.starts for ws in sets]))
-
     @property
     def lookback(self):
         return self.data[:, :, :self.b]
@@ -271,10 +265,6 @@ class Windows:
 
     def __iter__(self):
         return (self[k] for k in range(len(self)))
-
-    def batch(self, idx):
-        """(look-back, horizon) of the windows at ``idx``, each a fresh contiguous array."""
-        return self.data[idx, :, :self.b], self.data[idx, :, self.b:]
 
 
 def make_windows(ds: TimeSeriesDataset, split, b, h, stride=1):

@@ -218,6 +218,30 @@ def _part_bounds(length, parts):
     return bounds
 
 
+def _ttt_train_set(samples, bounds, spec, rng):
+    """The originals, then each part's copies per the 1 -> 5 ramp, in one array.
+
+    Window k starts at column k, so part [lo, hi) holds windows lo..hi-1.
+    Each part's expansion is moved into place and dropped at once, so
+    beside the result at most one part's expansion is alive.
+    """
+    parts = [samples[lo:hi] for lo, hi in bounds]
+    schedule = ttt_copy_schedule(len(bounds))
+    at = len(samples)
+    data = np.empty((at + sum(len(p) * c for p, c in zip(parts, schedule)),)
+                    + samples.data.shape[1:])
+    data[:at] = samples.data
+    starts = [samples.starts]
+    for part, copies in zip(parts, schedule):
+        if part:
+            extra = expand_dataset(part, spec, copies + 1, rng)[len(part):]
+            data[at:at + len(extra)] = extra.data
+            starts.append(extra.starts)
+            at += len(extra)
+            del extra
+    return Windows(data, samples.b, np.concatenate(starts))
+
+
 def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
             seeds=(0,), rate=0.2, dataset_id="dataset") -> ExperimentReport:
     """Cumulative retraining over `parts` contiguous spans.
@@ -250,17 +274,9 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
                 if not test_samples:
                     raise ValueError(f"part {i}: span too short for windows")
                 if kind != "none":
-                    schedule = ttt_copy_schedule(i)
                     spec = AugmentSpec(kind=kind, rate=rate)
                     rng = np.random.default_rng((seed, i))
-                    sets = [train_samples]
-                    for rank, (lo, hi) in enumerate(bounds[:i]):
-                        # Window k starts at column k: part [lo, hi) holds windows lo..hi-1.
-                        part_samples = train_samples[lo:hi]
-                        if part_samples:
-                            extra = expand_dataset(part_samples, spec, schedule[rank] + 1, rng)
-                            sets.append(extra[len(part_samples):])
-                    train_set = Windows.concat(sets)
+                    train_set = _ttt_train_set(train_samples, bounds[:i], spec, rng)
                 else:
                     train_set = train_samples
                 n_val = max(1, len(train_samples) // 10)

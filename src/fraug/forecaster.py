@@ -315,7 +315,7 @@ def train(model, train_samples, val_samples, cfg: TrainConfig,
         epoch_losses = []
         for lo in range(0, len(order), step_size):
             idx = order[lo: lo + step_size]
-            look, hor = train_samples.batch(idx)
+            look, hor = train_samples.lookback[idx], train_samples.horizon[idx]
             if augmenting:
                 copies = [apply_augment(train_samples[i], aug, rng, pool=train_samples)
                           for i in idx]

@@ -192,20 +192,12 @@ def _irfft_packed(bins, n):
     return np.ascontiguousarray(_ifft(z)).view(np.float64)
 
 
-def _table_product(a, table):
-    if a.ndim <= 2:
-        return a @ table
-    # Stacked input as one (rows, n) matrix: numpy would run one product
-    # per leading index.
-    return (a.reshape(-1, a.shape[-1]) @ table).reshape(a.shape[:-1] + table.shape[1:])
-
-
 def rfft_bins(x):
     """One-sided DFT bins along the last axis; no input validation."""
     n = x.shape[-1]
     if n <= _REAL_N:
         fwd, _ = _real_tables(n)
-        return _table_product(np.asarray(x, dtype=np.float64), fwd).view(np.complex128)
+        return (np.asarray(x, dtype=np.float64) @ fwd).view(np.complex128)
     if n % 2 == 0:
         return _rfft_packed(x)
     full = _fft(np.asarray(x, dtype=np.complex128))
@@ -221,8 +213,7 @@ def irfft_signal(bins, origin_len):
     n = origin_len
     if n <= _REAL_N:
         _, inv = _real_tables(n)
-        return _table_product(
-            np.ascontiguousarray(bins, dtype=np.complex128).view(np.float64), inv)
+        return np.ascontiguousarray(bins, dtype=np.complex128).view(np.float64) @ inv
     if n % 2 == 0:
         return _irfft_packed(bins, n)
     k = bins.shape[-1]

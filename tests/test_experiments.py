@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from fraug.dataset import TimeSeriesDataset, split_and_normalize
-from fraug.experiments import (ExperimentReport, cross_validate_rate,
-                               run_coldstart, run_longterm, run_ttt,
-                               ttt_copy_schedule)
+from conftest import assert_windows_equal
+from fraug.augment import AugmentSpec, expand_dataset
+from fraug.dataset import TimeSeriesDataset, span_windows, split_and_normalize
+from fraug.experiments import (ExperimentReport, _part_bounds, _ttt_train_set,
+                               cross_validate_rate, run_coldstart, run_longterm,
+                               run_ttt, ttt_copy_schedule)
 from fraug.forecaster import TrainConfig
 from fraug.synth import SynthSpec, generate
 
@@ -181,6 +183,27 @@ class TestTtt:
         a = [c.mse for c in reps[0].cells]
         b = [c.mse for c in reps[1].cells]
         assert a == b
+
+    @pytest.mark.parametrize("kind", ["freq_mask", "freq_mix"])
+    def test_train_set_is_originals_then_each_parts_copies(self, kind):
+        # Five parts of 10 columns; with b+h = 12 the fourth part holds
+        # 8 windows and the fifth none.
+        ds = small_dataset(length=300)
+        bounds = _part_bounds(ds.length, 30)[:5]
+        ws = span_windows(ds.values, 0, bounds[-1][1], 8, 4)
+        spec = AugmentSpec(kind=kind, rate=0.3)
+        got = _ttt_train_set(ws, bounds, spec, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        windows = list(ws)
+        expected = list(windows)
+        for (lo, hi), copies in zip(bounds, ttt_copy_schedule(len(bounds))):
+            part = windows[lo:hi]
+            if part:
+                expected += list(expand_dataset(part, spec, copies + 1, rng))[len(part):]
+        assert len(windows) == 38 and len(got) == 38 + 10 * (1 + 2 + 3) + 8 * 4
+        assert got.data.flags.c_contiguous
+        assert_windows_equal(got, [(s.lookback, s.horizon, s.start_index)
+                                   for s in expected])
 
 
 def test_report_median_over_seeds():

@@ -360,10 +360,10 @@ class TestWindowSetPath:
         assert t_set == t_list and len(t_set.train_loss) == 4
         assert m_set == m_list
 
-    def test_batch_is_one_contiguous_fancy_index(self):
+    def test_fancy_index_gives_contiguous_batch(self):
         train_set = self._sets()[0]
         idx = np.array([5, 0, 17, 5])
-        look, hor = train_set.batch(idx)
+        look, hor = train_set.lookback[idx], train_set.horizon[idx]
         assert look.flags.c_contiguous and hor.flags.c_contiguous
         np.testing.assert_array_equal(look, np.stack([train_set[i].lookback for i in idx]))
         np.testing.assert_array_equal(hor, np.stack([train_set[i].horizon for i in idx]))

@@ -197,16 +197,3 @@ def test_amplitude_spectrum_random_modulus():
     s = rfft(x)
     expected = np.sqrt(s.bins.real**2 + s.bins.imag**2)
     np.testing.assert_allclose(amplitude_spectrum(s), expected, atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [24, 192])
-def test_stacked_input_matches_its_row_reshape(n):
-    x = np.random.default_rng(n).normal(size=(4, 3, n))
-    bins = rfft_bins(x)
-    assert bins.shape == (4, 3, n // 2 + 1)
-    np.testing.assert_allclose(bins.reshape(12, -1), rfft_bins(x.reshape(12, n)),
-                               rtol=0, atol=1e-12)
-    back = irfft_signal(bins, n)
-    assert back.shape == (4, 3, n)
-    np.testing.assert_allclose(back.reshape(12, n),
-                               irfft_signal(bins.reshape(12, -1), n), rtol=0, atol=1e-12)
