@@ -7,7 +7,6 @@ flipping, warping), distance-weighted averaging (ASD), and residual
 block bootstrap (MBB) are included for comparison.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,20 +18,16 @@ FREQ_KINDS = ("freq_mask", "freq_mix", "freq_mask_keep_dominant", "freq_mask_the
 MIX_KINDS = ("freq_mix", "freq_mask_then_mix")
 BASELINE_KINDS = ("noise", "noise_both", "time_mask_random", "time_mask_segment", "flip", "warp")
 ALL_KINDS = FREQ_KINDS + BASELINE_KINDS + ("asd", "mbb", "none")
+# MBB's decomposition period: the daily cycle of the hourly datasets.
+MBB_PERIOD = 24
 
 
 @dataclass
 class AugmentSpec:
-    """Which augmentation to apply and its parameters."""
+    """Which augmentation to apply and its rate."""
 
     kind: str = "none"
     rate: float = 0.2
-    shared_mask_across_channels: bool = True
-    keep_top: int = 10
-    exact_count: bool = False
-    # MBB parameters; block_len None = max(2, len//10).
-    period: int = 24
-    block_len: int | None = None
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
@@ -43,45 +38,30 @@ class AugmentSpec:
             raise ValueError(f"mix rate must be <= 0.5, got {self.rate}")
 
 
-def create_random_mask(length, mu, rng, exact_count=False):
-    """Boolean keep-mask over spectrum bins; each bin masked w.p. mu.
-
-    With exact_count, exactly ceil(mu * length) bins are masked instead.
-    """
+def create_random_mask(length, mu, rng):
+    """Boolean keep-mask over spectrum bins; each bin masked w.p. mu."""
     if length < 1:
         raise ValueError("mask length must be >= 1")
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"rate must be in [0, 1], got {mu}")
-    if exact_count:
-        keep = np.ones(length, dtype=bool)
-        n_masked = math.ceil(mu * length)
-        keep[rng.choice(length, size=n_masked, replace=False)] = False
-        return keep
     return rng.random(length) >= mu
 
 
-def _channel_masks(n_channels, n_bins, mu, rng, shared, exact_count=False):
-    """(n_channels, n_bins) keep array: one mask repeated, or one per channel."""
-    if shared:
-        mask = create_random_mask(n_bins, mu, rng, exact_count)
-        return np.repeat(mask[None], n_channels, axis=0)
-    return np.stack([create_random_mask(n_bins, mu, rng, exact_count)
-                     for _ in range(n_channels)])
-
-
-def freq_mask(sample, mu, rng, shared=True, exact_count=False, exempt_top=0):
+def freq_mask(sample, mu, rng, exempt_top=0):
     """Zero a random mu-fraction of spectrum bins of the concatenated window.
 
-    exempt_top > 0 protects that many largest-amplitude bins per channel
-    from masking (the keep-dominant variant).
+    One mask is drawn per window and every channel uses it. exempt_top
+    > 0 protects that many largest-amplitude bins per channel from
+    masking (the keep-dominant variant).
     """
     c, b, h = sample.shape
     s = sample.concat()
     n_bins = (b + h) // 2 + 1
-    keep = _channel_masks(c, n_bins, mu, rng, shared, exact_count)
+    keep = create_random_mask(n_bins, mu, rng)
     bins = rfft_bins(s)
     if exempt_top > 0:
-        # Dominant bins are exempt per channel, even under a shared mask.
+        # Dominant bins are exempt per channel, so each channel gets its own row.
+        keep = np.repeat(keep[None], c, axis=0)
         amps = np.abs(bins)
         top = np.argsort(amps, axis=1)[:, ::-1][:, : min(exempt_top, n_bins)]
         np.put_along_axis(keep, top, True, axis=1)
@@ -90,19 +70,19 @@ def freq_mask(sample, mu, rng, shared=True, exact_count=False, exempt_top=0):
     return WindowSample.split(out, b, sample.start_index)
 
 
-def freq_mask_keep_dominant(sample, mu, rng, keep_top=10, shared=True, exact_count=False):
+def freq_mask_keep_dominant(sample, mu, rng, keep_top=10):
     """freq_mask with the keep_top largest-amplitude bins exempt per channel."""
     if keep_top < 0:
         raise ValueError("keep_top must be >= 0")
-    return freq_mask(sample, mu, rng, shared=shared, exact_count=exact_count,
-                     exempt_top=keep_top)
+    return freq_mask(sample, mu, rng, exempt_top=keep_top)
 
 
-def freq_mix(sample1, sample2, mu, rng, shared=True, exact_count=False):
+def freq_mix(sample1, sample2, mu, rng):
     """Replace a mu-fraction of sample1's spectrum bins with sample2's.
 
     Every output bin comes from exactly one of the two sources (the
-    second operand gets the bitwise-inverted mask).
+    second operand gets the bitwise-inverted mask). One mask is drawn
+    per window and every channel uses it.
     """
     if sample1.shape != sample2.shape:
         raise ValueError(
@@ -110,20 +90,20 @@ def freq_mix(sample1, sample2, mu, rng, shared=True, exact_count=False):
         )
     if mu > 0.5:
         raise ValueError(f"mix rate must be <= 0.5, got {mu}")
-    c, b, h = sample1.shape
+    _, b, h = sample1.shape
     s1, s2 = sample1.concat(), sample2.concat()
     n_bins = (b + h) // 2 + 1
-    keep = _channel_masks(c, n_bins, mu, rng, shared, exact_count)
+    keep = create_random_mask(n_bins, mu, rng)
     mixed = np.where(keep, rfft_bins(s1), rfft_bins(s2))
     out = irfft_signal(mixed, b + h)
     return WindowSample.split(out, b, sample1.start_index)
 
 
-def freq_mask_then_mix(sample1, sample2, mu, rng, shared=True, exact_count=False):
+def freq_mask_then_mix(sample1, sample2, mu, rng):
     """Sequential composition: mask both operands, then mix the results."""
-    a = freq_mask(sample1, mu, rng, shared=shared, exact_count=exact_count)
-    b = freq_mask(sample2, mu, rng, shared=shared, exact_count=exact_count)
-    return freq_mix(a, b, mu, rng, shared=shared, exact_count=exact_count)
+    a = freq_mask(sample1, mu, rng)
+    b = freq_mask(sample2, mu, rng)
+    return freq_mix(a, b, mu, rng)
 
 
 def baseline_augment(sample, kind, rng, mu=0.2, noise_scale=0.05, warp_factors=(0.5, 2.0)):
@@ -302,7 +282,6 @@ def apply_augment(sample, spec: AugmentSpec, rng, partner=None, pool=None):
     `pool` as its candidate neighbors; other kinds ignore both.
     """
     kind = spec.kind
-    shared = spec.shared_mask_across_channels
     if kind in MIX_KINDS and partner is None:
         if not pool:
             raise ValueError(f"{kind} needs a partner sample or a pool to draw one from")
@@ -314,18 +293,13 @@ def apply_augment(sample, spec: AugmentSpec, rng, partner=None, pool=None):
             start_index=sample.start_index,
         )
     if kind == "freq_mask":
-        return freq_mask(sample, spec.rate, rng, shared=shared, exact_count=spec.exact_count)
+        return freq_mask(sample, spec.rate, rng)
     if kind == "freq_mask_keep_dominant":
-        return freq_mask_keep_dominant(
-            sample, spec.rate, rng, keep_top=spec.keep_top, shared=shared,
-            exact_count=spec.exact_count,
-        )
+        return freq_mask_keep_dominant(sample, spec.rate, rng)
     if kind == "freq_mix":
-        return freq_mix(sample, partner, spec.rate, rng, shared=shared,
-                        exact_count=spec.exact_count)
+        return freq_mix(sample, partner, spec.rate, rng)
     if kind == "freq_mask_then_mix":
-        return freq_mask_then_mix(sample, partner, spec.rate, rng, shared=shared,
-                                  exact_count=spec.exact_count)
+        return freq_mask_then_mix(sample, partner, spec.rate, rng)
     if kind in BASELINE_KINDS:
         return baseline_augment(sample, kind, rng, mu=spec.rate)
     if kind == "asd":
@@ -333,7 +307,7 @@ def apply_augment(sample, spec: AugmentSpec, rng, partner=None, pool=None):
             raise ValueError("asd needs a candidate pool")
         return asd_augment(sample, pool)
     if kind == "mbb":
-        return mbb_augment(sample, spec.period, rng, block_len=spec.block_len)
+        return mbb_augment(sample, MBB_PERIOD, rng)
     raise ValueError(f"unknown augmentation kind {kind!r}")
 
 

@@ -143,7 +143,9 @@ def _check_config_types(config):
 
     Lists must be non-empty, except kinds: the protocols always add the
     "none" control, so an empty kinds list runs the control alone. The
-    protocol must be a known one and every seed >= 0, so a bad value
+    protocol must be a known one, coldstart and ttt take one horizon,
+    ttt at least two parts, every seed is >= 0, and every kind accepts
+    rate (and each rate_grid value under select_rates), so a bad value
     fails before the dataset is loaded.
     """
     for key, default in DEFAULT_CONFIG.items():
@@ -163,9 +165,25 @@ def _check_config_types(config):
     if config["protocol"] not in PROTOCOLS:
         raise ValueError(f"config key 'protocol' must be one of {', '.join(PROTOCOLS)}, "
                          f"got {config['protocol']!r}")
+    if config["protocol"] != "longterm" and len(config["horizons"]) != 1:
+        raise ValueError(f"config key 'horizons' must hold one horizon for "
+                         f"{config['protocol']}, got {config['horizons']!r}")
+    if config["protocol"] == "ttt" and config["parts"] < 2:
+        raise ValueError(f"config key 'parts' must be >= 2, got {config['parts']}")
     for seed in config["seeds"]:
         if seed < 0:
             raise ValueError(f"config key 'seeds' must hold seeds >= 0, got {seed}")
+    rates = [("rate", config["rate"])]
+    if config["select_rates"]:
+        rates += [("rate_grid", rate) for rate in config["rate_grid"]]
+    for kind in config["kinds"]:
+        if kind not in ALL_KINDS:
+            raise ValueError(f"config key 'kinds' holds unknown kind {kind!r}")
+        for key, rate in rates:
+            try:
+                AugmentSpec(kind=kind, rate=rate)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r} does not suit {kind}: {exc}") from None
 
 
 def cmd_run(args):

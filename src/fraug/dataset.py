@@ -86,7 +86,7 @@ def _split_rows(text, width, date_idx):
 
     None sends the caller to csv.reader: the text has a quote or a bare
     carriage return, no data row, a row with another cell count, or a
-    cell that float() rejects.
+    cell that float() rejects or reads as nan or infinity.
     """
     body = text.replace("\r\n", "\n")
     if '"' in body or "\r" in body:
@@ -103,6 +103,8 @@ def _split_rows(text, width, date_idx):
         values = np.array(list(map(float, cells)))
     except ValueError:
         return None
+    if not np.isfinite(values).all():
+        return None
     return timestamps, values.reshape(len(lines), width - 1)
 
 
@@ -116,26 +118,30 @@ def _read_rows(reader, path, header, date_idx, value_cols):
             )
         timestamps.append(row[date_idx])
         try:
-            rows.append([float(row[i]) for i in value_cols])
+            values = [float(row[i]) for i in value_cols]
         except ValueError:
+            values = None
+        if values is None or not all(map(math.isfinite, values)):
             for i in value_cols:
+                where = f"{path}: row {rownum}, column {header[i]!r}"
                 try:
-                    float(row[i])
+                    finite = math.isfinite(float(row[i]))
                 except ValueError:
                     raise ValueError(
-                        f"{path}: row {rownum}, column {header[i]!r}: "
-                        f"cannot parse {row[i]!r} as a number"
-                    ) from None
-            raise
+                        f"{where}: cannot parse {row[i]!r} as a number") from None
+                if not finite:
+                    raise ValueError(f"{where}: {row[i]!r} is not a finite number")
+        rows.append(values)
     return timestamps, rows
 
 
 def load_csv(path, date_column="date") -> TimeSeriesDataset:
     """Parse a header-and-date-column CSV into a dataset.
 
-    All non-date columns are parsed as float64, in header order. Text
-    with no quotes is split directly; anything that split cannot read
-    exactly is parsed again by csv.reader, which names the bad row.
+    All non-date columns are parsed as float64, in header order; a cell
+    that is not a finite number is an error. Text with no quotes is split
+    directly; anything that split cannot read exactly is parsed again by
+    csv.reader, which names the bad row.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")

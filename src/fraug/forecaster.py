@@ -189,9 +189,6 @@ class TrainConfig:
     max_epochs: int = 20
     patience: int = 3
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -203,12 +200,6 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not self.max_epochs >= 0:
             raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0 <= value < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {value}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
 @dataclass
@@ -258,9 +249,12 @@ def loss_and_grads(model: DLinearModel, lookback, target):
 class _Adam:
     """Adam over one flat parameter vector, updated in place."""
 
-    def __init__(self, params, lr, beta1, beta2, eps):
+    # Adam's published defaults for the moment decays and epsilon.
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         self.params = params
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
@@ -290,17 +284,18 @@ def train(model, train_samples, val_samples, cfg: TrainConfig,
           aug: AugmentSpec | None = None):
     """Fit the model; returns (model, TrainingTrace).
 
-    With augmentation, each step takes half a batch of originals and
-    augments each sample once, so the effective step size equals the
-    configured batch size. Early stopping restores the best-validation
-    parameters. Both sets are Windows or lists of WindowSamples.
+    With augmentation, each step takes floor(batch_size / 2) originals
+    (at least one) plus one augmented copy of each, so a full augmented
+    step has 2 * floor(batch_size / 2) windows, not batch_size. Early
+    stopping restores the best-validation parameters. Both sets are
+    Windows or lists of WindowSamples.
     """
     train_samples, val_samples = Windows.of(train_samples), Windows.of(val_samples)
     if not train_samples or not val_samples:
         raise ValueError("train and validation sets must be non-empty")
     augmenting = aug is not None and aug.kind != "none"
     rng = np.random.default_rng(cfg.seed)
-    opt = _Adam(model.params().flat, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+    opt = _Adam(model.params().flat, cfg.learning_rate)
     trace = TrainingTrace()
     # Copied once: forward_batch would copy a strided view on every epoch.
     val_look = np.ascontiguousarray(val_samples.lookback)

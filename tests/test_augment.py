@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,7 @@ from hypothesis import strategies as st
 from fraug.augment import (AugmentSpec, apply_augment, asd_augment,
                            baseline_augment, create_random_mask, decompose,
                            dtw_distance, expand_dataset, freq_mask,
-                           freq_mask_keep_dominant, freq_mask_then_mix,
-                           freq_mix, mbb_augment)
+                           freq_mask_keep_dominant, freq_mix, mbb_augment)
 from fraug.dataset import WindowSample, Windows, span_windows
 from fraug.spectral import rfft
 
@@ -34,11 +35,6 @@ class TestRandomMask:
         keep = create_random_mask(10000, 0.3, rng)
         frac = 1.0 - keep.mean()
         assert 0.28 < frac < 0.32
-
-    def test_exact_count(self):
-        rng = np.random.default_rng(0)
-        keep = create_random_mask(10, 0.3, rng, exact_count=True)
-        assert (~keep).sum() == 3
 
 
 class TestFreqMask:
@@ -396,11 +392,10 @@ class TestExpandDataset:
 
 class TestMixPartner:
     @pytest.mark.parametrize("kind", ["freq_mix", "freq_mask_then_mix"])
-    @pytest.mark.parametrize("shared", [True, False])
-    def test_pool_draw_equals_drawing_the_partner_first(self, kind, shared):
+    def test_pool_draw_equals_drawing_the_partner_first(self, kind):
         pool = [make_sample(c=2, b=32, h=16, seed=i) for i in range(7)]
         sample = make_sample(c=2, b=32, h=16, seed=20)
-        spec = AugmentSpec(kind=kind, rate=0.3, shared_mask_across_channels=shared)
+        spec = AugmentSpec(kind=kind, rate=0.3)
         rng = np.random.default_rng(11)
         out = apply_augment(sample, spec, rng, pool=pool)
         ref_rng = np.random.default_rng(11)
@@ -416,20 +411,22 @@ class TestMixPartner:
             with pytest.raises(ValueError, match="partner sample or a pool"):
                 apply_augment(make_sample(), spec, np.random.default_rng(0), pool=pool)
 
-    def test_mask_then_mix_honours_exact_count(self):
-        sample = make_sample(c=2, b=32, h=16, seed=0)
-        partner = make_sample(c=2, b=32, h=16, seed=1)
-        outs = {}
-        for exact in (False, True):
-            spec = AugmentSpec(kind="freq_mask_then_mix", rate=0.3, exact_count=exact)
-            outs[exact] = apply_augment(sample, spec, np.random.default_rng(4),
-                                        partner=partner).concat()
-        rng = np.random.default_rng(4)
-        a = freq_mask(sample, 0.3, rng, exact_count=True)
-        b = freq_mask(partner, 0.3, rng, exact_count=True)
-        ref = freq_mix(a, b, 0.3, rng, exact_count=True)
-        np.testing.assert_array_equal(outs[True], ref.concat())
-        assert not np.array_equal(outs[True], outs[False])
+
+class TestSharedMask:
+    @pytest.mark.parametrize("kind", ["freq_mask", "freq_mix"])
+    def test_every_channel_takes_one_bernoulli_mask(self, kind):
+        # Masking zeroes, and mixing takes from the partner, the same bins
+        # in every channel: the bins of one rng.random(n_bins) >= mu draw.
+        sample = make_sample(c=3, b=64, h=32, seed=4)
+        partner = make_sample(c=3, b=64, h=32, seed=5)
+        out = apply_augment(sample, AugmentSpec(kind=kind, rate=0.5),
+                            np.random.default_rng(0), partner=partner)
+        keep = np.random.default_rng(0).random(96 // 2 + 1) >= 0.5
+        assert keep.any() and not keep.all()
+        for ch in range(3):
+            other = rfft(partner.concat()[ch]).bins if kind == "freq_mix" else 0.0
+            want = np.where(keep, rfft(sample.concat()[ch]).bins, other)
+            np.testing.assert_allclose(rfft(out.concat()[ch]).bins, want, atol=1e-9)
 
 
 class TestDeterminism:
@@ -439,7 +436,7 @@ class TestDeterminism:
     def test_same_seed_same_output(self, kind):
         sample = make_sample(c=2, b=32, h=16, seed=0)
         partner = make_sample(c=2, b=32, h=16, seed=1)
-        spec = AugmentSpec(kind=kind, rate=0.3, period=8)
+        spec = AugmentSpec(kind=kind, rate=0.3)
         a = apply_augment(sample, spec, np.random.default_rng(77), partner=partner)
         b = apply_augment(sample, spec, np.random.default_rng(77), partner=partner)
         np.testing.assert_array_equal(a.lookback, b.lookback)
@@ -485,6 +482,16 @@ class TestDeterminism:
             AugmentSpec(seed=0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("shared_mask_across_channels", False), ("exact_count", True), ("keep_top", 3),
+    ("period", 8), ("block_len", 4),
+])
+def test_spec_is_kind_and_rate(field, value):
+    assert [f.name for f in fields(AugmentSpec)] == ["kind", "rate"]
+    with pytest.raises(TypeError, match=field):
+        AugmentSpec(kind="freq_mask", **{field: value})
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="unknown augmentation kind"):
         AugmentSpec(kind="bogus")
@@ -492,15 +499,3 @@ def test_spec_validation():
         AugmentSpec(kind="freq_mix", rate=0.7)
     with pytest.raises(ValueError, match="rate"):
         AugmentSpec(kind="freq_mask", rate=1.5)
-
-
-def test_per_channel_masks_differ():
-    sample = make_sample(c=3, b=64, h=32, seed=4)
-    out = freq_mask(sample, 0.5, np.random.default_rng(0), shared=False)
-    # With independent masks, channels are extremely unlikely to agree on
-    # the identical kept-bin pattern.
-    before = sample.concat()
-    after = out.concat()
-    diffs = [np.flatnonzero(np.abs(rfft(after[ch]).bins) < 1e-9).tolist()
-             for ch in range(3)]
-    assert diffs[0] != diffs[1] or diffs[1] != diffs[2]

@@ -266,6 +266,13 @@ class TestRun:
         ({"protocol": "ttt", "parts": 0}, "parts"),
         ({"seeds": [0, -1]}, "seeds"),
         ({"protocol": "bogus"}, "protocol"),
+        ({"kinds": ["bogus"]}, "kinds"),
+        ({"kinds": ["freq_mix"], "rate": 0.7}, "rate"),
+        ({"kinds": ["freq_mask"], "rate": 1.5}, "rate"),
+        ({"kinds": ["freq_mix"], "select_rates": True, "rate_grid": [0.2, 0.6]},
+         "rate_grid"),
+        ({"protocol": "coldstart", "horizons": [8, 12]}, "horizons"),
+        ({"protocol": "ttt", "horizons": [8, 12]}, "horizons"),
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, override, key):
         src = make_series(tmp_path)
@@ -276,7 +283,7 @@ class TestRun:
             "kinds": ["freq_mask"], "epochs": 2, "out": str(out_dir), **override,
         }))
         assert run_cli("run", "--config", str(config)) == 1
-        assert key in capsys.readouterr().err
+        assert f"config key {key!r}" in capsys.readouterr().err
         assert not (out_dir / "report.json").exists()
         assert not (out_dir / "manifest.json").exists()
 

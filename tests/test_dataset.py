@@ -125,6 +125,10 @@ def test_quoted_csv_reads_like_plain(tmp_path):
     ('date,a,b\nt0,"1,5",4.0\n', "row 2, column 'a': cannot parse '1,5' as a number"),
     ("date,a,b\r\nt0,1.0,4.0\rt1,x,5.0\r\n",
      "row 3, column 'a': cannot parse 'x' as a number"),
+    ("date,a,b\nt0,1.0,4.0\nt1,nan,5.0\n", "row 3, column 'a': 'nan' is not a finite number"),
+    ("date,a,b\nt0,1.0,inf\n", "row 2, column 'b': 'inf' is not a finite number"),
+    ('date,a,b\nt0,"1.0",4.0\nt1,2.0,-inf\n',
+     "row 3, column 'b': '-inf' is not a finite number"),
 ])
 def test_malformed_csv_messages(tmp_path, text, message):
     p = tmp_path / "d.csv"

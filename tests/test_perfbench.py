@@ -4,8 +4,9 @@ A run's exit status is 0 only when every operation and every check
 passed, including the call-count identities: on longterm-mask, loss rows
 equal originals plus augmented copies and spectral calls equal augmented
 windows; on ttt-shift, each round's copies follow the 1 -> 5 ramp, each
-round fits once, and each expanded copy gets one transform pair. It
-writes its result under the git-ignored perfbench/out/.
+round fits once, and each expanded copy gets one transform pair. Every
+workload BENCHMARK.json lists is run. It writes its result under the
+git-ignored perfbench/out/.
 """
 
 import json
@@ -16,9 +17,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-@pytest.mark.parametrize("workload", ["longterm-mask", "ttt-shift"])
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_traced_run_passes_checks(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
