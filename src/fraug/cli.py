@@ -144,9 +144,9 @@ def _check_config_types(config):
     Lists must be non-empty, except kinds: the protocols always add the
     "none" control, so an empty kinds list runs the control alone. The
     protocol must be a known one, coldstart and ttt take one horizon,
-    ttt at least two parts, every seed is >= 0, and every kind accepts
-    rate (and each rate_grid value under select_rates), so a bad value
-    fails before the dataset is loaded.
+    ttt at least two parts, seeds >= 0, factors >= 1, 0 < fraction <= 1,
+    and every kind accepts rate (and each rate_grid value under
+    select_rates), so a bad value fails before the dataset is loaded.
     """
     for key, default in DEFAULT_CONFIG.items():
         value = config[key]
@@ -170,9 +170,12 @@ def _check_config_types(config):
                          f"{config['protocol']}, got {config['horizons']!r}")
     if config["protocol"] == "ttt" and config["parts"] < 2:
         raise ValueError(f"config key 'parts' must be >= 2, got {config['parts']}")
-    for seed in config["seeds"]:
-        if seed < 0:
-            raise ValueError(f"config key 'seeds' must hold seeds >= 0, got {seed}")
+    for key, least in (("seeds", 0), ("factors", 1)):
+        for value in config[key]:
+            if value < least:
+                raise ValueError(f"config key {key!r} must hold {key} >= {least}, got {value}")
+    if not 0 < config["fraction"] <= 1:
+        raise ValueError(f"config key 'fraction' must be in (0, 1], got {config['fraction']}")
     rates = [("rate", config["rate"])]
     if config["select_rates"]:
         rates += [("rate_grid", rate) for rate in config["rate_grid"]]

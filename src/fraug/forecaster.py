@@ -11,8 +11,8 @@ optional batch-wise augmentation: the configured batch is halved, every
 half-batch sample is augmented once, and the model trains on the
 doubled batch. Windows arrive as one dataset.Windows set (a list of
 WindowSamples is stacked once on entry): each step's originals are one
-fancy index into its array, and the validation and test look-backs and
-horizons are slices of it.
+fancy index into its array. Validation and test sets are scored block by
+block, so the memory scoring takes follows the block, not the set.
 """
 
 import json
@@ -24,6 +24,8 @@ from .augment import AugmentSpec, apply_augment
 from .dataset import Windows
 
 CHECKPOINT_MAGIC = "FRAUG-DLINEAR-v1"
+# Window-channel rows per scoring block: a block holds max(1, rows // C) windows.
+SCORE_BLOCK_ROWS = 1024
 
 
 def moving_average_matrix(b, kernel):
@@ -144,7 +146,7 @@ class DLinearModel:
             **{k: v.tolist() for k, v in self.params().items()},
         }
         with open(path, "w") as fh:
-            json.dump(doc, fh)
+            fh.write(json.dumps(doc))
 
     @classmethod
     def load(cls, path):
@@ -288,7 +290,7 @@ def train(model, train_samples, val_samples, cfg: TrainConfig,
     (at least one) plus one augmented copy of each, so a full augmented
     step has 2 * floor(batch_size / 2) windows, not batch_size. Early
     stopping restores the best-validation parameters. Both sets are
-    Windows or lists of WindowSamples.
+    Windows or lists of WindowSamples; validation is scored in blocks.
     """
     train_samples, val_samples = Windows.of(train_samples), Windows.of(val_samples)
     if not train_samples or not val_samples:
@@ -297,8 +299,6 @@ def train(model, train_samples, val_samples, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     opt = _Adam(model.params().flat, cfg.learning_rate)
     trace = TrainingTrace()
-    # Copied once: forward_batch would copy a strided view on every epoch.
-    val_look = np.ascontiguousarray(val_samples.lookback)
     best = model.copy_params()
     best_val = np.inf
     bad_epochs = 0
@@ -321,11 +321,7 @@ def train(model, train_samples, val_samples, cfg: TrainConfig,
                 raise FloatingPointError(f"divergence at epoch {epoch}")
             epoch_losses.append(loss)
             opt.step(grads.flat)
-        # In place: on a large validation set these temporaries set the peak memory.
-        val_err = model.forward_batch(val_look)
-        val_err -= val_samples.horizon
-        val_err *= val_err
-        val_loss = float(np.mean(val_err))
+        val_loss = _score(model, val_samples)[0]
         if not np.isfinite(val_loss):
             raise FloatingPointError(f"divergence at epoch {epoch}")
         trace.train_loss.append(float(np.mean(epoch_losses)))
@@ -343,19 +339,34 @@ def train(model, train_samples, val_samples, cfg: TrainConfig,
     return model, trace
 
 
+def _score(model, samples, with_mae=False):
+    """(MSE, MAE or None) over a Windows set, SCORE_BLOCK_ROWS rows at a time.
+
+    Sums with np.add.reduce, as np.mean does, so a set that fits in one
+    block scores bit-identically to the mean over the whole set.
+    """
+    n, c = samples.lookback.shape[:2]
+    step = max(1, SCORE_BLOCK_ROWS // c)
+    sq = ab = 0.0
+    for lo in range(0, n, step):
+        err = model.forward_batch(samples.lookback[lo:lo + step])
+        err -= samples.horizon[lo:lo + step]
+        if with_mae:
+            ab += np.add.reduce(np.abs(err), axis=None)
+        err *= err
+        sq += np.add.reduce(err, axis=None)
+    size = n * c * model.h
+    return float(sq / size), float(ab / size) if with_mae else None
+
+
 def evaluate(model, samples) -> Metrics:
     """Mean squared / absolute error over all samples, channels, steps.
 
-    samples is a Windows set or a list of WindowSamples; the horizons
-    are read in place, never copied.
+    samples is a Windows set or a list of WindowSamples; it is scored
+    block by block and its horizons are read in place, never copied.
     """
     samples = Windows.of(samples)
     if not samples:
         raise ValueError("empty sample set")
-    err = model.forward_batch(samples.lookback)
-    err -= samples.horizon
-    return Metrics(
-        mse=float(np.mean(err * err)),
-        mae=float(np.mean(np.abs(err))),
-        n_samples=len(samples),
-    )
+    mse, mae = _score(model, samples, with_mae=True)
+    return Metrics(mse=mse, mae=mae, n_samples=len(samples))

@@ -273,6 +273,10 @@ class TestRun:
          "rate_grid"),
         ({"protocol": "coldstart", "horizons": [8, 12]}, "horizons"),
         ({"protocol": "ttt", "horizons": [8, 12]}, "horizons"),
+        ({"protocol": "coldstart", "factors": [0]}, "factors"),
+        ({"protocol": "coldstart", "factors": [2, -1]}, "factors"),
+        ({"protocol": "coldstart", "fraction": 1.5}, "fraction"),
+        ({"protocol": "coldstart", "fraction": 0.0}, "fraction"),
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, override, key):
         src = make_series(tmp_path)
@@ -286,6 +290,7 @@ class TestRun:
         assert f"config key {key!r}" in capsys.readouterr().err
         assert not (out_dir / "report.json").exists()
         assert not (out_dir / "manifest.json").exists()
+        assert not out_dir.exists()
 
     def test_negative_seed_names_key_and_value(self, tmp_path, capsys):
         src = make_series(tmp_path)

@@ -1,12 +1,15 @@
 import json
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import fraug.forecaster as fc
 from fraug.augment import AugmentSpec
-from fraug.dataset import TimeSeriesDataset, WindowSample, make_windows, split_and_normalize
+from fraug.dataset import (TimeSeriesDataset, WindowSample, Windows, make_windows,
+                           split_and_normalize)
 from fraug.forecaster import (DLinearModel, Metrics, TrainConfig, _Adam,
                               _FlatParams, evaluate, forward, loss_and_grads,
                               moving_average_matrix, train)
@@ -453,6 +456,103 @@ class TestEvaluate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty sample set"):
             evaluate(DLinearModel(b=4, h=2), [])
+
+
+def whole_set_scores(model, samples):
+    """Oracle: (MSE, MAE) from one (n, C, h) error array over the whole set."""
+    err = model.forward_batch(np.ascontiguousarray(samples.lookback)) - samples.horizon
+    return float(np.mean(err * err)), float(np.mean(np.abs(err)))
+
+
+def random_windows(n, c, b, h, seed):
+    rng = np.random.default_rng(seed)
+    return Windows(rng.normal(size=(n, c, b + h)), b, np.arange(n))
+
+
+class TestBlockScoring:
+    """evaluate and train's val_loss, block by block, against whole_set_scores."""
+
+    @staticmethod
+    def _sizes(c):
+        """(windows per block, set sizes): within one block, exactly one,
+        an exact multiple of it, and a partial last block."""
+        step = max(1, fc.SCORE_BLOCK_ROWS // c)
+        return step, [step // 2, step, 2 * step, 2 * step + step // 3]
+
+    @pytest.mark.parametrize("c", [1, 7])
+    def test_evaluate_matches_whole_set(self, c):
+        model = DLinearModel.init_random(b=8, h=4, seed=c)
+        step, sizes = self._sizes(c)
+        for n in sizes:
+            samples = random_windows(n, c, 8, 4, seed=n)
+            m = evaluate(model, samples)
+            mse, mae = whole_set_scores(model, samples)
+            assert m.mse == pytest.approx(mse, rel=1e-12, abs=0)
+            assert m.mae == pytest.approx(mae, rel=1e-12, abs=0)
+            assert m.n_samples == n
+            if n <= step:  # one block sums exactly as np.mean does
+                assert (m.mse, m.mae) == (mse, mae)
+
+    @pytest.mark.parametrize("c", [1, 7])
+    def test_val_loss_trace_matches_whole_set(self, c, monkeypatch):
+        oracle = []
+        score = fc._score
+
+        def spy(model, samples, with_mae=False):
+            oracle.append(whole_set_scores(model, samples)[0])
+            return score(model, samples, with_mae)
+
+        monkeypatch.setattr(fc, "_score", spy)
+        train_set = random_windows(16, c, 8, 4, seed=1)
+        cfg = TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=0)
+        for n in self._sizes(c)[1]:
+            oracle.clear()
+            model = DLinearModel.init_random(b=8, h=4, seed=2)
+            _, trace = train(model, train_set, random_windows(n, c, 8, 4, seed=n), cfg)
+            assert len(trace.val_loss) == 3
+            np.testing.assert_allclose(trace.val_loss, oracle, rtol=1e-12, atol=0)
+
+    @staticmethod
+    def _large_set():
+        rng = np.random.default_rng(0)
+        ds = split_and_normalize(TimeSeriesDataset(
+            values=rng.normal(size=(7, 3000)), channel_names=[f"c{i}" for i in range(7)]),
+            "generic")
+        return make_windows(ds, "train", 96, 96)
+
+    def test_evaluate_peak_below_one_error_array(self):
+        samples = self._large_set()
+        model = DLinearModel.init_random(b=96, h=96, seed=0)
+        tracemalloc.start()
+        try:
+            evaluate(model, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < samples.horizon.nbytes
+
+    def test_train_peak_below_one_validation_error_array(self):
+        val_set = self._large_set()
+        train_set = random_windows(8, 7, 96, 96, seed=3)
+        model = DLinearModel.init_random(b=96, h=96, seed=0)
+        tracemalloc.start()
+        try:
+            train(model, train_set, val_set, TrainConfig(max_epochs=2, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < val_set.horizon.nbytes
+
+
+def test_checkpoint_bytes_pinned(tmp_path):
+    model = DLinearModel(b=2, h=1, kernel=1, w_trend=[[0.5, -1.0]],
+                         w_seasonal=[[1 / 3, 0.1]], b_trend=[0.125], b_seasonal=[-3.0])
+    path = tmp_path / "model.json"
+    model.save(path)
+    assert path.read_bytes() == (
+        b'{"magic": "FRAUG-DLINEAR-v1", "b": 2, "h": 1, "kernel": 1, '
+        b'"w_trend": [[0.5, -1.0]], "w_seasonal": [[0.3333333333333333, 0.1]], '
+        b'"b_trend": [0.125], "b_seasonal": [-3.0]}')
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -1,3 +1,7 @@
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,3 +201,37 @@ def test_amplitude_spectrum_random_modulus():
     s = rfft(x)
     expected = np.sqrt(s.bins.real**2 + s.bins.imag**2)
     np.testing.assert_allclose(amplitude_spectrum(s), expected, atol=1e-12)
+
+
+def numpy_fft_uses(source):
+    """Line numbers where source imports or touches numpy.fft (as np.fft too)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any(re.match(r"(numpy|np)\.fft(\.|$)", name) for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy.fft", "import numpy.fft as nf", "from numpy import fft",
+    "from numpy.fft import rfft", "import numpy as np\nx = np.fft.rfft([1.0])",
+    "import numpy\nf = numpy.fft",
+])
+def test_numpy_fft_detector_flags(source):
+    assert numpy_fft_uses(source)
+
+
+def test_library_uses_no_numpy_fft():
+    """The README promises no FFT library: src/fraug never uses numpy.fft."""
+    paths = sorted(Path(spectral.__file__).parent.glob("*.py"))
+    assert len(paths) > 1
+    found = {p.name: numpy_fft_uses(p.read_text()) for p in paths}
+    assert not {name: lines for name, lines in found.items() if lines}
