@@ -1,5 +1,9 @@
 """Tour of the augmentation families on a synthetic two-tone series.
 
+Every operator takes the concatenated (C, b+h) look-back + horizon
+window and returns a new one; apply_augment does the same for one
+WindowSample of a window set.
+
 Run with:  python3 demos/02_augmentations.py
 """
 
@@ -13,41 +17,41 @@ from fraug.synth import SynthSpec, generate
 
 rng = np.random.default_rng(7)
 
-values = generate(SynthSpec(length=144, channels=1,
-                            tones=[(24.0, 1.0), (6.0, 0.4)],
-                            noise_std=0.2, seed=1))
-sample = WindowSample.split(values, 96)
+# One (C, b+h) window: 96 look-back columns, then a 48-column horizon.
+x = generate(SynthSpec(length=144, channels=1, tones=[(24.0, 1.0), (6.0, 0.4)],
+                       noise_std=0.2, seed=1))
 
 
 def describe(name, out):
-    diff = np.max(np.abs(out.concat() - sample.concat()))
-    print(f"{name:22s} max |delta| = {diff:.3f}")
+    print(f"{name:22s} max |delta| = {np.max(np.abs(out - x)):.3f}")
 
 
 # Frequency masking zeroes a random fraction of one-sided bins of the
 # concatenated look-back+horizon, so the label stays consistent with
 # the input.
-describe("freq_mask 0.2", freq_mask(sample, 0.2, rng))
+describe("freq_mask 0.2", freq_mask(x, 0.2, rng))
 
 # Mixing swaps bins with a partner window instead of zeroing them.
-partner = WindowSample.split(np.roll(values, 36, axis=1), 96)
-describe("freq_mix 0.2", freq_mix(sample, partner, 0.2, rng))
+partner = np.roll(x, 36, axis=1)
+describe("freq_mix 0.2", freq_mix(x, partner, 0.2, rng))
 
-# The dispatcher covers the time-domain baselines too.
+# The dispatcher takes one WindowSample and covers the time-domain
+# baselines too.
+sample = WindowSample.split(x, 96)
 for kind in ("noise", "flip", "warp", "time_mask_random"):
     out = apply_augment(sample, AugmentSpec(kind=kind), rng)
-    describe(kind, out)
+    describe(kind, out.concat())
 
-# ASD averages the nearest pool samples, weighted by softmin DTW distance.
-pool = [WindowSample.split(values + rng.normal(0, 0.3, (1, 144)), 96) for _ in range(8)]
-describe("asd (k=5)", asd_augment(sample, pool, k=5))
+# ASD averages the nearest pool windows, weighted by softmin DTW distance.
+pool = x + rng.normal(0, 0.3, (8, 1, 144))
+describe("asd (k=5)", asd_augment(x, pool, k=5))
 
 # MBB decomposes, bootstraps only the residual, and recombines.
-describe("mbb (period 24)", mbb_augment(sample, 24, rng))
+describe("mbb (period 24)", mbb_augment(x, 24, rng))
 
 # Dominant bins of the original vs a masked copy.
-amps = amplitude_spectrum(rfft(sample.concat()[0]))
-masked = amplitude_spectrum(rfft(freq_mask(sample, 0.5, rng).concat()[0]))
+amps = amplitude_spectrum(rfft(x[0]))
+masked = amplitude_spectrum(rfft(freq_mask(x, 0.5, rng)[0]))
 top = np.argsort(amps)[-5:][::-1]
 print("\nbin  original  masked")
 for k in top:

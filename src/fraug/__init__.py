@@ -3,12 +3,12 @@
 __version__ = "0.1.0"
 
 from .spectral import Spectrum, rfft, irfft, amplitude_spectrum
-from .dataset import (TimeSeriesDataset, WindowSample, Windows, load_csv,
-                      split_and_normalize, make_windows, take_last_fraction)
+from .dataset import (TimeSeriesDataset, Windows, load_csv, split_and_normalize,
+                      make_windows, take_last_fraction)
 from .augment import (AugmentSpec, create_random_mask, freq_mask, freq_mix,
-                      freq_mask_keep_dominant, freq_mask_then_mix,
-                      baseline_augment, dtw_distance, asd_augment, decompose,
-                      mbb_augment, apply_augment, expand_dataset)
+                      freq_mask_then_mix, baseline_augment, dtw_distance,
+                      asd_augment, decompose, mbb_augment, apply_augment,
+                      expand_dataset)
 from .forecaster import (DLinearModel, TrainConfig, Metrics, forward,
                          loss_and_grads, train, evaluate)
 from .experiments import (ExperimentReport, cross_validate_rate, run_longterm,

@@ -1,10 +1,12 @@
-"""Augmentation operators for forecasting windows.
+"""Augmentation operators on the concatenated (C, b+h) look-back+horizon.
 
-Frequency-domain operators (masking, mixing, the keep-dominant variant,
-and their composition) act on the concatenated look-back+horizon so the
-data-label pair stays consistent. Time-domain baselines (noise, masking,
-flipping, warping), distance-weighted averaging (ASD), and residual
-block bootstrap (MBB) are included for comparison.
+Every operator maps that array to a new one of the same shape.
+Frequency-domain operators (masking, the keep-dominant variant, mixing,
+and their composition) transform the whole window, so the data-label
+pair stays consistent. Time-domain baselines (noise, masking, flipping,
+warping), distance-weighted averaging (ASD), and residual block
+bootstrap (MBB) are included for comparison. apply_augment alone turns
+a dataset.WindowSample into that array and the result back.
 """
 
 from dataclasses import dataclass
@@ -18,8 +20,13 @@ FREQ_KINDS = ("freq_mask", "freq_mix", "freq_mask_keep_dominant", "freq_mask_the
 MIX_KINDS = ("freq_mix", "freq_mask_then_mix")
 BASELINE_KINDS = ("noise", "noise_both", "time_mask_random", "time_mask_segment", "flip", "warp")
 ALL_KINDS = FREQ_KINDS + BASELINE_KINDS + ("asd", "mbb", "none")
-# MBB's decomposition period: the daily cycle of the hourly datasets.
+# MBB's decomposition period (the daily cycle of the hourly datasets);
+# the bins per channel freq_mask_keep_dominant never masks; the noise
+# kinds' scale factors 1 +- NOISE_SCALE; warp's stretch factors.
 MBB_PERIOD = 24
+KEEP_TOP = 10
+NOISE_SCALE = 0.05
+WARP_FACTORS = (0.5, 2.0)
 
 
 @dataclass
@@ -47,80 +54,67 @@ def create_random_mask(length, mu, rng):
     return rng.random(length) >= mu
 
 
-def freq_mask(sample, mu, rng, exempt_top=0):
-    """Zero a random mu-fraction of spectrum bins of the concatenated window.
+def freq_mask(x, mu, rng, keep_top=0):
+    """Zero a random mu-fraction of spectrum bins of a (C, L) window.
 
-    One mask is drawn per window and every channel uses it. exempt_top
+    One mask is drawn per window and every channel uses it. keep_top
     > 0 protects that many largest-amplitude bins per channel from
     masking (the keep-dominant variant).
     """
-    c, b, h = sample.shape
-    s = sample.concat()
-    n_bins = (b + h) // 2 + 1
+    if keep_top < 0:
+        raise ValueError("keep_top must be >= 0")
+    c, n = x.shape
+    n_bins = n // 2 + 1
     keep = create_random_mask(n_bins, mu, rng)
-    bins = rfft_bins(s)
-    if exempt_top > 0:
+    bins = rfft_bins(x)
+    if keep_top > 0:
         # Dominant bins are exempt per channel, so each channel gets its own row.
         keep = np.repeat(keep[None], c, axis=0)
         amps = np.abs(bins)
-        top = np.argsort(amps, axis=1)[:, ::-1][:, : min(exempt_top, n_bins)]
+        top = np.argsort(amps, axis=1)[:, ::-1][:, : min(keep_top, n_bins)]
         np.put_along_axis(keep, top, True, axis=1)
     bins = np.where(keep, bins, 0.0 + 0.0j)
-    out = irfft_signal(bins, b + h)
-    return WindowSample.split(out, b, sample.start_index)
+    return irfft_signal(bins, n)
 
 
-def freq_mask_keep_dominant(sample, mu, rng, keep_top=10):
-    """freq_mask with the keep_top largest-amplitude bins exempt per channel."""
-    if keep_top < 0:
-        raise ValueError("keep_top must be >= 0")
-    return freq_mask(sample, mu, rng, exempt_top=keep_top)
-
-
-def freq_mix(sample1, sample2, mu, rng):
-    """Replace a mu-fraction of sample1's spectrum bins with sample2's.
+def freq_mix(x1, x2, mu, rng):
+    """Replace a mu-fraction of x1's spectrum bins with x2's.
 
     Every output bin comes from exactly one of the two sources (the
     second operand gets the bitwise-inverted mask). One mask is drawn
     per window and every channel uses it.
     """
-    if sample1.shape != sample2.shape:
-        raise ValueError(
-            f"incompatible samples: {sample1.shape} vs {sample2.shape}"
-        )
+    if x1.shape != x2.shape:
+        raise ValueError(f"incompatible samples: {x1.shape} vs {x2.shape}")
     if mu > 0.5:
         raise ValueError(f"mix rate must be <= 0.5, got {mu}")
-    _, b, h = sample1.shape
-    s1, s2 = sample1.concat(), sample2.concat()
-    n_bins = (b + h) // 2 + 1
-    keep = create_random_mask(n_bins, mu, rng)
-    mixed = np.where(keep, rfft_bins(s1), rfft_bins(s2))
-    out = irfft_signal(mixed, b + h)
-    return WindowSample.split(out, b, sample1.start_index)
+    n = x1.shape[1]
+    keep = create_random_mask(n // 2 + 1, mu, rng)
+    mixed = np.where(keep, rfft_bins(x1), rfft_bins(x2))
+    return irfft_signal(mixed, n)
 
 
-def freq_mask_then_mix(sample1, sample2, mu, rng):
+def freq_mask_then_mix(x1, x2, mu, rng):
     """Sequential composition: mask both operands, then mix the results."""
-    a = freq_mask(sample1, mu, rng)
-    b = freq_mask(sample2, mu, rng)
-    return freq_mix(a, b, mu, rng)
+    return freq_mix(freq_mask(x1, mu, rng), freq_mask(x2, mu, rng), mu, rng)
 
 
-def baseline_augment(sample, kind, rng, mu=0.2, noise_scale=0.05, warp_factors=(0.5, 2.0)):
-    """Time-domain baseline augmentations.
+def baseline_augment(x, b, kind, rng, mu=0.2):
+    """Time-domain baselines on a (C, b+h) window whose first b columns are the look-back.
 
     noise perturbs the look-back only, noise_both perturbs both parts;
     the masking and warping baselines operate on the look-back window;
     flip negates the whole window about each channel's mean.
     """
-    c, b, h = sample.shape
-    look = sample.lookback.copy()
-    hor = sample.horizon.copy()
+    if kind == "flip":
+        return 2.0 * x.mean(axis=1, keepdims=True) - x
+    out = x.copy()
+    look, hor = out[:, :b], out[:, b:]
     if kind == "noise":
-        look *= 1.0 + rng.uniform(-noise_scale, noise_scale, size=look.shape)
+        look *= 1.0 + rng.uniform(-NOISE_SCALE, NOISE_SCALE, size=look.shape)
     elif kind == "noise_both":
-        look *= 1.0 + rng.uniform(-noise_scale, noise_scale, size=look.shape)
-        hor *= 1.0 + rng.uniform(-noise_scale, noise_scale, size=hor.shape)
+        look *= 1.0 + rng.uniform(-NOISE_SCALE, NOISE_SCALE, size=look.shape)
+        hor *= 1.0 + rng.uniform(-NOISE_SCALE, NOISE_SCALE, size=hor.shape)
     elif kind == "time_mask_random":
         n_masked = int(round(mu * b))
         if n_masked > 0:
@@ -131,25 +125,19 @@ def baseline_augment(sample, kind, rng, mu=0.2, noise_scale=0.05, warp_factors=(
         if seg > 0:
             start = int(rng.integers(0, b - seg + 1))
             look[:, start: start + seg] = 0.0
-    elif kind == "flip":
-        s = np.concatenate([look, hor], axis=1)
-        mean = s.mean(axis=1, keepdims=True)
-        s = 2.0 * mean - s
-        look, hor = s[:, :b], s[:, b:]
     elif kind == "warp":
-        seg = max(2, int(round(mu * b)))
-        seg = min(seg, b)
+        seg = min(max(2, int(round(mu * b))), b)
         start = int(rng.integers(0, b - seg + 1))
-        factor = warp_factors[int(rng.integers(0, len(warp_factors)))]
+        factor = WARP_FACTORS[int(rng.integers(0, len(WARP_FACTORS)))]
         warped_len = max(2, int(round(seg * factor)))
         src = np.linspace(0, seg - 1, warped_len)
         back = np.linspace(0, warped_len - 1, seg)
-        for ch in range(c):
+        for ch in range(len(look)):
             stretched = np.interp(src, np.arange(seg), look[ch, start: start + seg])
             look[ch, start: start + seg] = np.interp(back, np.arange(warped_len), stretched)
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
-    return WindowSample(lookback=look, horizon=hor, start_index=sample.start_index)
+    return out
 
 
 def dtw_distance(a, b):
@@ -171,22 +159,19 @@ def dtw_distance(a, b):
     return float(acc[n, m])
 
 
-def asd_augment(target, pool, k=5):
-    """Distance-weighted average of the k nearest pool samples.
+def asd_augment(x, pool, k=5):
+    """Distance-weighted average of the k pool windows nearest to x.
 
-    Distance is DTW on the concatenated window, summed over channels;
-    weights are softmin with temperature = mean of the k distances.
+    pool is an (n, C, L) array of candidate windows. Distance is DTW,
+    summed over channels; weights are softmin with temperature = mean
+    of the k distances.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(pool) < k:
         raise ValueError(f"pool of {len(pool)} samples too small for k={k}")
-    t = target.concat()
-    dists = []
-    for cand in pool:
-        s = cand.concat()
-        dists.append(sum(dtw_distance(t[ch], s[ch]) for ch in range(t.shape[0])))
-    dists = np.asarray(dists)
+    dists = np.asarray([sum(dtw_distance(x[ch], cand[ch]) for ch in range(len(x)))
+                        for cand in pool])
     nearest = np.argsort(dists, kind="stable")[:k]
     d = dists[nearest]
     tau = d.mean()
@@ -195,9 +180,7 @@ def asd_augment(target, pool, k=5):
     else:
         w = np.exp(-d / tau)
         w /= w.sum()
-    look = sum(wi * pool[i].lookback for wi, i in zip(w, nearest))
-    hor = sum(wi * pool[i].horizon for wi, i in zip(w, nearest))
-    return WindowSample(lookback=look, horizon=hor, start_index=target.start_index)
+    return sum(wi * pool[i] for wi, i in zip(w, nearest))
 
 
 def decompose(series, period):
@@ -247,83 +230,78 @@ def _block_bootstrap(residual, block_len, rng):
     return np.concatenate(pieces)[:n]
 
 
-def mbb_augment(sample, period, rng, block_len=None, return_components=False):
-    """Moving-block-bootstrap the residual of each channel's window.
+def mbb_augment(x, period, rng, block_len=None, return_components=False):
+    """Moving-block-bootstrap the residual of each channel of a (C, L) window.
 
     Trend and seasonal components are untouched; only the residual is
     replaced by a resample of overlapping blocks. With
     return_components, also returns per-channel (trend, seasonal,
     original residual, resampled residual).
     """
-    c, b, h = sample.shape
-    s = sample.concat()
-    n = b + h
     if block_len is None:
-        block_len = max(2, n // 10)
-    out = np.empty_like(s)
+        block_len = max(2, x.shape[1] // 10)
+    out = np.empty_like(x)
     components = []
-    for ch in range(c):
-        trend, seasonal, residual = decompose(s[ch], period)
+    for ch in range(len(x)):
+        trend, seasonal, residual = decompose(x[ch], period)
         boot = _block_bootstrap(residual, block_len, rng)
         out[ch] = trend + seasonal + boot
         if return_components:
             components.append((trend, seasonal, residual, boot))
-    augmented = WindowSample.split(out, b, sample.start_index)
     if return_components:
-        return augmented, components
-    return augmented
+        return out, components
+    return out
 
 
 def apply_augment(sample, spec: AugmentSpec, rng, partner=None, pool=None):
-    """Dispatch one augmentation according to spec.
+    """Augment one WindowSample according to spec into a new WindowSample.
 
-    Mixing kinds mix with `partner`; without one they draw it uniformly
-    from `pool` (one rng.integers call, before any mask). asd needs
-    `pool` as its candidate neighbors; other kinds ignore both.
+    Here the sample becomes the (C, b+h) array the operators take, and
+    their result a sample again. Mixing kinds mix with `partner`; without
+    one they draw it uniformly from the Windows set `pool` (one
+    rng.integers call, before any mask). asd needs `pool` as its
+    candidate neighbors; other kinds ignore both.
     """
     kind = spec.kind
     if kind in MIX_KINDS and partner is None:
         if not pool:
             raise ValueError(f"{kind} needs a partner sample or a pool to draw one from")
         partner = pool[int(rng.integers(0, len(pool)))]
+    b = sample.lookback.shape[1]
+    x = sample.concat()
     if kind == "none":
-        return WindowSample(
-            lookback=sample.lookback.copy(),
-            horizon=sample.horizon.copy(),
-            start_index=sample.start_index,
-        )
-    if kind == "freq_mask":
-        return freq_mask(sample, spec.rate, rng)
-    if kind == "freq_mask_keep_dominant":
-        return freq_mask_keep_dominant(sample, spec.rate, rng)
-    if kind == "freq_mix":
-        return freq_mix(sample, partner, spec.rate, rng)
-    if kind == "freq_mask_then_mix":
-        return freq_mask_then_mix(sample, partner, spec.rate, rng)
-    if kind in BASELINE_KINDS:
-        return baseline_augment(sample, kind, rng, mu=spec.rate)
-    if kind == "asd":
+        out = x
+    elif kind == "freq_mask":
+        out = freq_mask(x, spec.rate, rng)
+    elif kind == "freq_mask_keep_dominant":
+        out = freq_mask(x, spec.rate, rng, keep_top=KEEP_TOP)
+    elif kind in MIX_KINDS:
+        mix = freq_mix if kind == "freq_mix" else freq_mask_then_mix
+        out = mix(x, partner.concat(), spec.rate, rng)
+    elif kind in BASELINE_KINDS:
+        out = baseline_augment(x, b, kind, rng, mu=spec.rate)
+    elif kind == "asd":
         if pool is None:
             raise ValueError("asd needs a candidate pool")
-        return asd_augment(sample, pool)
-    if kind == "mbb":
-        return mbb_augment(sample, MBB_PERIOD, rng)
-    raise ValueError(f"unknown augmentation kind {kind!r}")
+        out = asd_augment(x, pool.data)
+    elif kind == "mbb":
+        out = mbb_augment(x, MBB_PERIOD, rng)
+    else:
+        raise ValueError(f"unknown augmentation kind {kind!r}")
+    return WindowSample.split(out, b, sample.start_index)
 
 
 def expand_dataset(samples, spec: AugmentSpec, factor, rng):
-    """Originals plus (factor - 1) augmented copies of each sample.
+    """Originals plus (factor - 1) augmented copies of each window of a Windows set.
 
-    samples is a Windows set or a list of WindowSamples. The result is
-    a Windows set whose one contiguous array holds all originals first,
-    then the augmented copies grouped by round. Every copy draws from
-    `rng`, round by round and in sample order, so a smaller factor's
-    output is a prefix of a larger one's under the same seed. freq_mix
-    partners are drawn uniformly from the input set.
+    The result is a Windows set whose one contiguous array holds all
+    originals first, then the augmented copies grouped by round. Every
+    copy draws from `rng`, round by round and in window order, so a
+    smaller factor's output is a prefix of a larger one's under the same
+    seed. freq_mix partners are drawn uniformly from the input set.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    samples = Windows.of(samples)
     n, b = len(samples), samples.b
     data = np.empty((factor * n,) + samples.data.shape[1:])
     data[:n] = samples.data

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .augment import ALL_KINDS, MIX_KINDS, AugmentSpec, apply_augment
+from .augment import ALL_KINDS, MBB_PERIOD, MIX_KINDS, AugmentSpec, apply_augment
 from .dataset import (SPLIT_SCHEMES, WindowSample, load_csv, make_windows,
                       split_and_normalize)
 from .forecaster import DLinearModel, TrainConfig, evaluate, train
@@ -144,9 +144,11 @@ def _check_config_types(config):
     Lists must be non-empty, except kinds: the protocols always add the
     "none" control, so an empty kinds list runs the control alone. The
     protocol must be a known one, coldstart and ttt take one horizon,
-    ttt at least two parts, seeds >= 0, factors >= 1, 0 < fraction <= 1,
-    and every kind accepts rate (and each rate_grid value under
-    select_rates), so a bad value fails before the dataset is loaded.
+    ttt at least two parts, lookback and horizons >= 1, epochs and
+    seeds >= 0, factors >= 1, 0 < fraction <= 1, every kind accepts rate
+    (and each rate_grid value under select_rates), and mbb's windows span
+    two decomposition periods, so a bad value fails before the dataset
+    is loaded.
     """
     for key, default in DEFAULT_CONFIG.items():
         value = config[key]
@@ -170,7 +172,10 @@ def _check_config_types(config):
                          f"{config['protocol']}, got {config['horizons']!r}")
     if config["protocol"] == "ttt" and config["parts"] < 2:
         raise ValueError(f"config key 'parts' must be >= 2, got {config['parts']}")
-    for key, least in (("seeds", 0), ("factors", 1)):
+    for key, least in (("lookback", 1), ("epochs", 0)):
+        if config[key] < least:
+            raise ValueError(f"config key {key!r} must be >= {least}, got {config[key]}")
+    for key, least in (("horizons", 1), ("seeds", 0), ("factors", 1)):
         for value in config[key]:
             if value < least:
                 raise ValueError(f"config key {key!r} must hold {key} >= {least}, got {value}")
@@ -187,6 +192,10 @@ def _check_config_types(config):
                 AugmentSpec(kind=kind, rate=rate)
             except ValueError as exc:
                 raise ValueError(f"config key {key!r} does not suit {kind}: {exc}") from None
+    span = config["lookback"] + min(config["horizons"])
+    if "mbb" in config["kinds"] and span < 2 * MBB_PERIOD:
+        raise ValueError(f"config key 'kinds' holds mbb, which needs config key 'lookback' "
+                         f"plus the shortest horizon >= {2 * MBB_PERIOD}, got {span}")
 
 
 def cmd_run(args):

@@ -2,8 +2,9 @@
 
 A set of windows is one Windows object: an (n, C, b+h) array whose
 window k is a look-back (its first b columns) followed by a horizon,
-plus the start column of each window. A training batch is one fancy
-index into that array; WindowSample is the single-window view.
+plus the start column of each window; it is the one set type. A
+training batch is one fancy index into that array; WindowSample is the
+single-window view, the type augment.apply_augment takes and returns.
 """
 
 import csv
@@ -234,24 +235,6 @@ class Windows:
         self.data = data
         self.b = b
         self.starts = starts
-
-    @classmethod
-    def of(cls, samples):
-        """A set as is; a list of WindowSamples stacked once into one array."""
-        if isinstance(samples, cls):
-            return samples
-        samples = list(samples)
-        if not samples:
-            return cls(np.empty((0, 0, 0)), 0, np.empty(0, dtype=np.intp))
-        shape = samples[0].shape
-        for k, s in enumerate(samples):
-            if s.shape != shape:
-                raise ValueError(f"window {k} has shape (C, b, h) = {s.shape}, "
-                                 f"window 0 has {shape}")
-        look = np.array([s.lookback for s in samples], dtype=np.float64)
-        hor = np.array([s.horizon for s in samples], dtype=np.float64)
-        return cls(np.concatenate([look, hor], axis=2), shape[1],
-                   np.array([s.start_index for s in samples]))
 
     @property
     def lookback(self):

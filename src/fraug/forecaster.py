@@ -9,10 +9,10 @@ gradient descent with adaptive-moment updates on one flat vector that
 holds all four parameters, early stopping on validation loss, and
 optional batch-wise augmentation: the configured batch is halved, every
 half-batch sample is augmented once, and the model trains on the
-doubled batch. Windows arrive as one dataset.Windows set (a list of
-WindowSamples is stacked once on entry): each step's originals are one
-fancy index into its array. Validation and test sets are scored block by
-block, so the memory scoring takes follows the block, not the set.
+doubled batch. Every window set is one dataset.Windows array: each
+step's originals are one fancy index into it. Validation and test sets
+are scored block by block, so the memory scoring takes follows the
+block, not the set.
 """
 
 import json
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import AugmentSpec, apply_augment
-from .dataset import Windows
 
 CHECKPOINT_MAGIC = "FRAUG-DLINEAR-v1"
 # Window-channel rows per scoring block: a block holds max(1, rows // C) windows.
@@ -290,9 +289,8 @@ def train(model, train_samples, val_samples, cfg: TrainConfig,
     (at least one) plus one augmented copy of each, so a full augmented
     step has 2 * floor(batch_size / 2) windows, not batch_size. Early
     stopping restores the best-validation parameters. Both sets are
-    Windows or lists of WindowSamples; validation is scored in blocks.
+    dataset.Windows; validation is scored in blocks.
     """
-    train_samples, val_samples = Windows.of(train_samples), Windows.of(val_samples)
     if not train_samples or not val_samples:
         raise ValueError("train and validation sets must be non-empty")
     augmenting = aug is not None and aug.kind != "none"
@@ -362,10 +360,9 @@ def _score(model, samples, with_mae=False):
 def evaluate(model, samples) -> Metrics:
     """Mean squared / absolute error over all samples, channels, steps.
 
-    samples is a Windows set or a list of WindowSamples; it is scored
-    block by block and its horizons are read in place, never copied.
+    samples is a dataset.Windows set; it is scored block by block and
+    its horizons are read in place, never copied.
     """
-    samples = Windows.of(samples)
     if not samples:
         raise ValueError("empty sample set")
     mse, mae = _score(model, samples, with_mae=True)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fraug.dataset import WindowSample
+from fraug.dataset import Windows, WindowSample
 
 
 def naive_dft(x):
@@ -61,6 +61,12 @@ def make_sample(c=2, b=16, h=8, seed=0):
         horizon=rng.normal(size=(c, h)),
         start_index=0,
     )
+
+
+def random_windows(n, c, b, h, seed):
+    """n windows of standard-normal values as one Windows set, starts 0..n-1."""
+    rng = np.random.default_rng(seed)
+    return Windows(rng.normal(size=(n, c, b + h)), b, np.arange(n))
 
 
 def assert_windows_equal(samples, reference):

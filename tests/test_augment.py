@@ -1,18 +1,32 @@
+import ast
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraug.augment import (AugmentSpec, apply_augment, asd_augment,
-                           baseline_augment, create_random_mask, decompose,
-                           dtw_distance, expand_dataset, freq_mask,
-                           freq_mask_keep_dominant, freq_mix, mbb_augment)
-from fraug.dataset import WindowSample, Windows, span_windows
+from fraug import augment
+from fraug.augment import (ALL_KINDS, KEEP_TOP, AugmentSpec, apply_augment,
+                           asd_augment, baseline_augment, create_random_mask,
+                           decompose, dtw_distance, expand_dataset, freq_mask,
+                           freq_mix, mbb_augment)
+from fraug.dataset import Windows, span_windows
 from fraug.spectral import rfft
 
-from conftest import assert_windows_equal, dtw_brute, make_sample, tone_sample
+from conftest import (assert_windows_equal, dtw_brute, make_sample, random_windows,
+                      tone_sample)
+
+
+def window(c=2, b=16, h=8, seed=0):
+    """(C, b+h) window of standard-normal values."""
+    return make_sample(c=c, b=b, h=h, seed=seed).concat()
+
+
+def tone(c, b, h, bin_k, amplitude=1.0):
+    """(C, b+h) window that is a pure cosine at one-sided bin k."""
+    return tone_sample(c, b, h, bin_k, amplitude).concat()
 
 
 def assert_samples_close(a, b, atol=1e-9):
@@ -39,55 +53,48 @@ class TestRandomMask:
 
 class TestFreqMask:
     def test_mu_zero_is_round_trip_identity(self):
-        sample = make_sample(c=3, b=20, h=10, seed=1)
-        out = freq_mask(sample, 0.0, np.random.default_rng(0))
-        assert_samples_close(out, sample)
+        x = window(c=3, b=20, h=10, seed=1)
+        out = freq_mask(x, 0.0, np.random.default_rng(0))
+        np.testing.assert_allclose(out, x, atol=1e-9)
 
     def test_constant_sample_with_dc_kept(self):
-        sample = WindowSample(lookback=np.full((2, 12), 5.0),
-                              horizon=np.full((2, 6), 5.0))
-        # mu < 1 can mask any bin; force DC kept by masking via exempt trick:
+        x = np.full((2, 18), 5.0)
+        # keep_top=1 exempts the DC bin, the only nonzero one, from any mask.
         rng = np.random.default_rng(3)
         for _ in range(20):
-            out = freq_mask(sample, 0.8, rng, exempt_top=1)
-            assert_samples_close(out, sample)
+            out = freq_mask(x, 0.8, rng, keep_top=1)
+            np.testing.assert_allclose(out, x, atol=1e-9)
 
     def test_single_tone_annihilation(self):
         b, h, k = 16, 8, 5
-        sample = tone_sample(2, b, h, k)
-        # Build a mask hitting exactly bin k by masking everything except k
-        # inverted: run freq_mask with mu=1 but exempt all bins except k.
-        n_bins = (b + h) // 2 + 1
-        # Direct construction instead: zero only bin k via mix machinery.
-        bins = rfft(sample.concat()[0]).bins
+        x = tone(2, b, h, k)
+        bins = rfft(x[0]).bins
         nonzero = np.flatnonzero(np.abs(bins) > 1e-9)
         assert list(nonzero) == [k]  # oracle: single one-sided bin
         rng = np.random.default_rng(0)
         # With mu=1 everything is masked, including bin k -> all-zero output.
-        out = freq_mask(sample, 1.0, rng)
-        assert np.max(np.abs(out.concat())) < 1e-9
+        out = freq_mask(x, 1.0, rng)
+        assert np.max(np.abs(out)) < 1e-9
 
     def test_shape_preserved(self):
-        sample = make_sample(c=4, b=33, h=17)
-        out = freq_mask(sample, 0.4, np.random.default_rng(1))
-        assert out.shape == sample.shape
+        x = window(c=4, b=33, h=17)
+        out = freq_mask(x, 0.4, np.random.default_rng(1))
+        assert out.shape == x.shape
 
     def test_energy_non_increase(self):
         rng = np.random.default_rng(5)
         for seed in range(20):
-            sample = make_sample(c=2, b=64, h=32, seed=seed)
-            out = freq_mask(sample, 0.3, rng)
+            x = window(c=2, b=64, h=32, seed=seed)
+            out = freq_mask(x, 0.3, rng)
             for ch in range(2):
-                before = np.sum(sample.concat()[ch] ** 2)
-                after = np.sum(out.concat()[ch] ** 2)
-                assert after <= before + 1e-9
+                assert np.sum(out[ch] ** 2) <= np.sum(x[ch] ** 2) + 1e-9
 
     def test_mask_faithfulness(self):
-        sample = make_sample(c=1, b=32, h=16, seed=2)
+        x = window(c=1, b=32, h=16, seed=2)
         rng = np.random.default_rng(11)
-        out = freq_mask(sample, 0.5, rng)
-        before = rfft(sample.concat()[0]).bins
-        after = rfft(out.concat()[0]).bins
+        out = freq_mask(x, 0.5, rng)
+        before = rfft(x[0]).bins
+        after = rfft(out[0]).bins
         for k in range(len(before)):
             keep = abs(after[k] - before[k]) < 1e-9
             zeroed = abs(after[k]) < 1e-9
@@ -96,133 +103,145 @@ class TestFreqMask:
     def test_masking_hits_both_lookback_and_horizon(self):
         # Semantic consistency: the tone vanishes in both window parts.
         sample = tone_sample(1, 24, 12, 3)
-        out = freq_mask(sample, 1.0, np.random.default_rng(0))
+        out = apply_augment(sample, AugmentSpec(kind="freq_mask", rate=1.0),
+                            np.random.default_rng(0))
+        assert out.shape == sample.shape
         assert np.max(np.abs(out.lookback)) < 1e-9
         assert np.max(np.abs(out.horizon)) < 1e-9
+
+    def test_negative_keep_top_rejected(self):
+        with pytest.raises(ValueError, match="keep_top must be >= 0"):
+            freq_mask(window(), 0.2, np.random.default_rng(0), keep_top=-1)
 
 
 class TestFreqMix:
     def test_self_mix_identity(self):
-        sample = make_sample(c=2, b=24, h=12, seed=3)
+        x = window(c=2, b=24, h=12, seed=3)
         for mu in (0.1, 0.3, 0.5):
-            out = freq_mix(sample, sample, mu, np.random.default_rng(0))
-            assert_samples_close(out, sample)
+            out = freq_mix(x, x, mu, np.random.default_rng(0))
+            np.testing.assert_allclose(out, x, atol=1e-9)
 
     def test_mu_zero_returns_first(self):
-        s1, s2 = make_sample(seed=1), make_sample(seed=2)
-        out = freq_mix(s1, s2, 0.0, np.random.default_rng(0))
-        assert_samples_close(out, s1)
+        x1, x2 = window(seed=1), window(seed=2)
+        out = freq_mix(x1, x2, 0.0, np.random.default_rng(0))
+        np.testing.assert_allclose(out, x1, atol=1e-9)
 
     def test_two_tone_composition(self):
         b, h, k1, k2 = 16, 8, 2, 7
-        s1 = tone_sample(1, b, h, k1)
-        s2 = tone_sample(1, b, h, k2)
+        x1 = tone(1, b, h, k1)
+        x2 = tone(1, b, h, k2)
         # Oracle: each operand has a single nonzero one-sided bin.
-        assert list(np.flatnonzero(np.abs(rfft(s1.concat()[0]).bins) > 1e-9)) == [k1]
-        assert list(np.flatnonzero(np.abs(rfft(s2.concat()[0]).bins) > 1e-9)) == [k2]
+        assert list(np.flatnonzero(np.abs(rfft(x1[0]).bins) > 1e-9)) == [k1]
+        assert list(np.flatnonzero(np.abs(rfft(x2[0]).bins) > 1e-9)) == [k2]
         # Replacing any mask that covers k2 but not k1 yields the two-tone sum.
         rng = np.random.default_rng(0)
-        expected = s1.concat() + s2.concat()
+        expected = x1 + x2
         for _ in range(50):
-            out = freq_mix(s1, s2, 0.5, rng)
-            after = rfft(out.concat()[0]).bins
+            out = freq_mix(x1, x2, 0.5, rng)
+            after = rfft(out[0]).bins
             has_k1 = abs(after[k1]) > 1e-9
             has_k2 = abs(after[k2]) > 1e-9
             if has_k1 and has_k2:
-                np.testing.assert_allclose(out.concat(), expected, atol=1e-9)
+                np.testing.assert_allclose(out, expected, atol=1e-9)
                 break
         else:
             pytest.fail("no sampled mask replaced bin k2 while keeping k1")
 
     def test_bin_exclusivity(self):
-        s1, s2 = make_sample(c=1, b=32, h=16, seed=4), make_sample(c=1, b=32, h=16, seed=5)
-        out = freq_mix(s1, s2, 0.4, np.random.default_rng(9))
-        bins1 = rfft(s1.concat()[0]).bins
-        bins2 = rfft(s2.concat()[0]).bins
-        mixed = rfft(out.concat()[0]).bins
+        x1, x2 = window(c=1, b=32, h=16, seed=4), window(c=1, b=32, h=16, seed=5)
+        out = freq_mix(x1, x2, 0.4, np.random.default_rng(9))
+        bins1 = rfft(x1[0]).bins
+        bins2 = rfft(x2[0]).bins
+        mixed = rfft(out[0]).bins
         for k in range(len(mixed)):
             assert (abs(mixed[k] - bins1[k]) < 1e-9) or (abs(mixed[k] - bins2[k]) < 1e-9)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="incompatible samples"):
-            freq_mix(make_sample(b=16), make_sample(b=20), 0.2,
-                     np.random.default_rng(0))
+            freq_mix(window(b=16), window(b=20), 0.2, np.random.default_rng(0))
 
     def test_rate_above_half_rejected(self):
         with pytest.raises(ValueError, match="mix rate"):
-            freq_mix(make_sample(), make_sample(), 0.6, np.random.default_rng(0))
+            freq_mix(window(), window(), 0.6, np.random.default_rng(0))
 
 
 class TestKeepDominant:
     def test_everything_exempt_is_identity(self):
-        sample = make_sample(c=2, b=20, h=10, seed=6)
+        x = window(c=2, b=20, h=10, seed=6)
         n_bins = 30 // 2 + 1
-        out = freq_mask_keep_dominant(sample, 1.0, np.random.default_rng(0),
-                                      keep_top=n_bins)
-        assert_samples_close(out, sample)
+        out = freq_mask(x, 1.0, np.random.default_rng(0), keep_top=n_bins)
+        np.testing.assert_allclose(out, x, atol=1e-9)
 
     def test_keep_top_zero_equals_freq_mask(self):
-        sample = make_sample(c=2, b=20, h=10, seed=7)
-        out1 = freq_mask_keep_dominant(sample, 0.4, np.random.default_rng(5), keep_top=0)
-        out2 = freq_mask(sample, 0.4, np.random.default_rng(5))
-        assert_samples_close(out1, out2, atol=1e-12)
+        x = window(c=2, b=20, h=10, seed=7)
+        out1 = freq_mask(x, 0.4, np.random.default_rng(5), keep_top=0)
+        out2 = freq_mask(x, 0.4, np.random.default_rng(5))
+        np.testing.assert_allclose(out1, out2, atol=1e-12)
 
     def test_dominant_tone_survives(self):
         b, h = 16, 8
-        strong = tone_sample(1, b, h, 3, amplitude=10.0)
-        weak = tone_sample(1, b, h, 6, amplitude=1.0)
-        sample = WindowSample(lookback=strong.lookback + weak.lookback,
-                              horizon=strong.horizon + weak.horizon)
-        out = freq_mask_keep_dominant(sample, 1.0, np.random.default_rng(0), keep_top=1)
-        assert_samples_close(out, strong)
+        strong = tone(1, b, h, 3, amplitude=10.0)
+        weak = tone(1, b, h, 6, amplitude=1.0)
+        out = freq_mask(strong + weak, 1.0, np.random.default_rng(0), keep_top=1)
+        np.testing.assert_allclose(out, strong, atol=1e-9)
+
+    def test_kind_exempts_keep_top_bins(self):
+        sample = make_sample(c=2, b=40, h=20, seed=8)
+        spec = AugmentSpec(kind="freq_mask_keep_dominant", rate=0.5)
+        out = apply_augment(sample, spec, np.random.default_rng(4))
+        want = freq_mask(sample.concat(), 0.5, np.random.default_rng(4), keep_top=KEEP_TOP)
+        np.testing.assert_array_equal(out.concat(), want)
 
 
 class TestBaselines:
-    def test_zero_noise_is_identity(self):
-        sample = make_sample(seed=8)
-        out = baseline_augment(sample, "noise", np.random.default_rng(0), noise_scale=0.0)
-        assert_samples_close(out, sample, atol=0)
-
     def test_noise_leaves_horizon_untouched(self):
-        sample = make_sample(seed=8)
-        out = baseline_augment(sample, "noise", np.random.default_rng(0))
-        np.testing.assert_array_equal(out.horizon, sample.horizon)
-        assert np.any(out.lookback != sample.lookback)
+        x = window(seed=8)
+        out = baseline_augment(x, 16, "noise", np.random.default_rng(0))
+        np.testing.assert_array_equal(out[:, 16:], x[:, 16:])
+        assert np.any(out[:, :16] != x[:, :16])
 
     def test_noise_both_touches_horizon(self):
-        sample = make_sample(seed=8)
-        out = baseline_augment(sample, "noise_both", np.random.default_rng(0))
-        assert np.any(out.horizon != sample.horizon)
+        x = window(seed=8)
+        out = baseline_augment(x, 16, "noise_both", np.random.default_rng(0))
+        assert np.any(out[:, 16:] != x[:, 16:])
 
     def test_flip_is_involution(self):
-        sample = make_sample(seed=9)
+        x = window(seed=9)
         rng = np.random.default_rng(0)
-        twice = baseline_augment(baseline_augment(sample, "flip", rng), "flip", rng)
-        assert_samples_close(twice, sample, atol=1e-12)
+        twice = baseline_augment(baseline_augment(x, 16, "flip", rng), 16, "flip", rng)
+        np.testing.assert_allclose(twice, x, atol=1e-12)
 
     def test_time_mask_segment_contiguous(self):
-        sample = make_sample(c=1, b=10, h=4, seed=10)
-        sample.lookback += 100.0  # no accidental zeros
-        out = baseline_augment(sample, "time_mask_segment", np.random.default_rng(7), mu=0.5)
-        zeros = np.flatnonzero(out.lookback[0] == 0.0)
+        x = window(c=1, b=10, h=4, seed=10)
+        x[:, :10] += 100.0  # no accidental zeros
+        out = baseline_augment(x, 10, "time_mask_segment", np.random.default_rng(7), mu=0.5)
+        zeros = np.flatnonzero(out[0, :10] == 0.0)
         assert len(zeros) == 5
         assert np.all(np.diff(zeros) == 1)
 
     def test_time_mask_random_count(self):
-        sample = make_sample(c=1, b=20, h=4, seed=11)
-        sample.lookback += 100.0
-        out = baseline_augment(sample, "time_mask_random", np.random.default_rng(7), mu=0.3)
-        assert (out.lookback[0] == 0.0).sum() == 6
+        x = window(c=1, b=20, h=4, seed=11)
+        x[:, :20] += 100.0
+        out = baseline_augment(x, 20, "time_mask_random", np.random.default_rng(7), mu=0.3)
+        assert (out[0, :20] == 0.0).sum() == 6
 
     def test_warp_preserves_shape(self):
-        sample = make_sample(c=2, b=30, h=10, seed=12)
-        out = baseline_augment(sample, "warp", np.random.default_rng(1), mu=0.4)
-        assert out.shape == sample.shape
-        np.testing.assert_array_equal(out.horizon, sample.horizon)
+        x = window(c=2, b=30, h=10, seed=12)
+        out = baseline_augment(x, 30, "warp", np.random.default_rng(1), mu=0.4)
+        assert out.shape == x.shape
+        np.testing.assert_array_equal(out[:, 30:], x[:, 30:])
+
+    @pytest.mark.parametrize("kind", augment.BASELINE_KINDS)
+    def test_input_left_untouched(self, kind):
+        x = window(c=2, b=30, h=10, seed=13)
+        kept = x.copy()
+        out = baseline_augment(x, 30, kind, np.random.default_rng(2), mu=0.4)
+        np.testing.assert_array_equal(x, kept)
+        assert not np.shares_memory(out, x)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown baseline kind"):
-            baseline_augment(make_sample(), "bogus", np.random.default_rng(0))
+            baseline_augment(window(), 16, "bogus", np.random.default_rng(0))
 
 
 class TestDtw:
@@ -259,34 +278,35 @@ class TestDtw:
 
 class TestAsd:
     def test_k1_returns_nearest(self):
-        target = make_sample(seed=0)
-        near = WindowSample(lookback=target.lookback + 0.01,
-                            horizon=target.horizon + 0.01)
-        far = WindowSample(lookback=target.lookback + 10.0,
-                           horizon=target.horizon + 10.0)
-        out = asd_augment(target, [far, near], k=1)
-        assert_samples_close(out, near, atol=1e-12)
+        x = window(seed=0)
+        near, far = x + 0.01, x + 10.0
+        out = asd_augment(x, np.stack([far, near]), k=1)
+        np.testing.assert_allclose(out, near, atol=1e-12)
 
     def test_identical_pool_average(self):
-        target = make_sample(seed=1)
-        pool = [make_sample(seed=2)] * 3
-        out = asd_augment(target, pool, k=3)
-        assert_samples_close(out, pool[0], atol=1e-12)
+        x = window(seed=1)
+        pool = np.stack([window(seed=2)] * 3)
+        out = asd_augment(x, pool, k=3)
+        np.testing.assert_allclose(out, pool[0], atol=1e-12)
 
     def test_exact_copy_dominates(self):
-        target = make_sample(seed=3)
-        copy = WindowSample(lookback=target.lookback.copy(),
-                            horizon=target.horizon.copy())
-        far = WindowSample(lookback=target.lookback + 50.0,
-                           horizon=target.horizon + 50.0)
-        out = asd_augment(target, [copy, far], k=2)
+        x = window(seed=3)
+        far = x + 50.0
+        out = asd_augment(x, np.stack([x.copy(), far]), k=2)
         # Softmin: the zero-distance copy gets nearly all the weight.
-        dev = np.max(np.abs(out.lookback - target.lookback))
-        assert dev < np.max(np.abs(far.lookback - target.lookback)) * 0.2
+        dev = np.max(np.abs(out - x))
+        assert dev < np.max(np.abs(far - x)) * 0.2
 
     def test_pool_too_small(self):
         with pytest.raises(ValueError, match="too small"):
-            asd_augment(make_sample(), [make_sample()], k=5)
+            asd_augment(window(), window()[None], k=5)
+
+    def test_kind_averages_the_pool_rows(self):
+        sample = make_sample(c=1, b=8, h=4, seed=4)
+        pool = random_windows(6, 1, 8, 4, seed=5)
+        out = apply_augment(sample, AugmentSpec(kind="asd"), np.random.default_rng(0),
+                            pool=pool)
+        np.testing.assert_array_equal(out.concat(), asd_augment(sample.concat(), pool.data))
 
 
 class TestDecompose:
@@ -320,44 +340,45 @@ class TestDecompose:
 class TestMbb:
     def test_zero_residual_identity(self):
         # Constant input decomposes into pure trend; bootstrapping the
-        # all-zero residual must leave the sample untouched.
-        const = np.full(48, 3.0)
-        sample = WindowSample(lookback=const[None, :32].copy(),
-                              horizon=const[None, 32:].copy())
-        out = mbb_augment(sample, 8, np.random.default_rng(0))
-        assert_samples_close(out, sample)
+        # all-zero residual must leave the window untouched.
+        const = np.full((1, 48), 3.0)
+        out = mbb_augment(const, 8, np.random.default_rng(0))
+        np.testing.assert_allclose(out, const, atol=1e-9)
 
     def test_full_length_block_identity(self):
-        sample = make_sample(c=1, b=32, h=16, seed=1)
-        out = mbb_augment(sample, 8, np.random.default_rng(0), block_len=48)
-        assert_samples_close(out, sample)
+        x = window(c=1, b=32, h=16, seed=1)
+        out = mbb_augment(x, 8, np.random.default_rng(0), block_len=48)
+        np.testing.assert_allclose(out, x, atol=1e-9)
 
     def test_components_untouched(self):
-        sample = make_sample(c=2, b=40, h=20, seed=2)
-        out, comps = mbb_augment(sample, 10, np.random.default_rng(3),
-                                 return_components=True)
+        x = window(c=2, b=40, h=20, seed=2)
+        out, comps = mbb_augment(x, 10, np.random.default_rng(3), return_components=True)
         for ch, (trend, seasonal, residual, boot) in enumerate(comps):
-            t2, s2, r2 = decompose(sample.concat()[ch], 10)
+            t2, s2, r2 = decompose(x[ch], 10)
             np.testing.assert_array_equal(trend, t2)
             np.testing.assert_array_equal(seasonal, s2)
-            np.testing.assert_array_equal(out.concat()[ch], trend + seasonal + boot)
+            np.testing.assert_array_equal(out[ch], trend + seasonal + boot)
+
+
+def originals(samples):
+    return [(s.lookback, s.horizon, s.start_index) for s in samples]
 
 
 class TestExpandDataset:
     def test_factor_one_returns_originals(self):
-        samples = [make_sample(seed=i) for i in range(3)]
+        samples = random_windows(3, 2, 16, 8, seed=0)
         out = expand_dataset(samples, AugmentSpec(kind="freq_mask", rate=0.3),
                              1, np.random.default_rng(0))
-        assert_windows_equal(out, [(s.lookback, s.horizon, s.start_index) for s in samples])
+        assert_windows_equal(out, originals(samples))
 
     def test_coldstart_expansion_count(self):
-        samples = [make_sample(c=1, b=8, h=4, seed=i) for i in range(84)]
+        samples = random_windows(84, 1, 8, 4, seed=0)
         out = expand_dataset(samples, AugmentSpec(kind="freq_mask", rate=0.2),
                              50, np.random.default_rng(0))
         assert len(out) == 4200
 
     def test_kind_none_duplicates(self):
-        samples = [make_sample(seed=i) for i in range(2)]
+        samples = random_windows(2, 2, 16, 8, seed=0)
         out = expand_dataset(samples, AugmentSpec(kind="none"),
                              2, np.random.default_rng(0))
         assert len(out) == 4
@@ -365,11 +386,10 @@ class TestExpandDataset:
             assert_samples_close(copy, orig, atol=0)
 
     def test_originals_come_first(self):
-        samples = [make_sample(seed=i) for i in range(3)]
+        samples = random_windows(3, 2, 16, 8, seed=0)
         out = expand_dataset(samples, AugmentSpec(kind="freq_mask", rate=0.5),
                              2, np.random.default_rng(0))
-        assert_windows_equal(out[:3], [(s.lookback, s.horizon, s.start_index)
-                                       for s in samples])
+        assert_windows_equal(out[:3], originals(samples))
 
     @pytest.mark.parametrize("kind", ["freq_mask", "freq_mix"])
     def test_window_set_equals_per_window_loop(self, kind):
@@ -379,10 +399,10 @@ class TestExpandDataset:
         rng = np.random.default_rng(9)
         out = expand_dataset(windows, spec, 3, rng)
         ref_rng = np.random.default_rng(9)
-        ref = [(w.lookback, w.horizon, w.start_index) for w in windows]
+        ref = originals(windows)
         for _ in range(2):
             for w in windows:
-                copy = apply_augment(w, spec, ref_rng, pool=list(windows))
+                copy = apply_augment(w, spec, ref_rng, pool=windows)
                 ref.append((copy.lookback, copy.horizon, w.start_index))
         assert isinstance(out, Windows) and out.data.flags.c_contiguous
         assert out.data.shape == (3 * len(windows), 2, 18)
@@ -393,7 +413,7 @@ class TestExpandDataset:
 class TestMixPartner:
     @pytest.mark.parametrize("kind", ["freq_mix", "freq_mask_then_mix"])
     def test_pool_draw_equals_drawing_the_partner_first(self, kind):
-        pool = [make_sample(c=2, b=32, h=16, seed=i) for i in range(7)]
+        pool = random_windows(7, 2, 32, 16, seed=0)
         sample = make_sample(c=2, b=32, h=16, seed=20)
         spec = AugmentSpec(kind=kind, rate=0.3)
         rng = np.random.default_rng(11)
@@ -407,7 +427,7 @@ class TestMixPartner:
     @pytest.mark.parametrize("kind", ["freq_mix", "freq_mask_then_mix"])
     def test_no_partner_and_no_pool_rejected(self, kind):
         spec = AugmentSpec(kind=kind, rate=0.2)
-        for pool in (None, []):
+        for pool in (None, random_windows(0, 2, 16, 8, seed=0)):
             with pytest.raises(ValueError, match="partner sample or a pool"):
                 apply_augment(make_sample(), spec, np.random.default_rng(0), pool=pool)
 
@@ -429,6 +449,23 @@ class TestSharedMask:
             np.testing.assert_allclose(rfft(out.concat()[ch]).bins, want, atol=1e-9)
 
 
+class TestMemoryLayout:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_strided_and_contiguous_windows_give_identical_copies(self, kind):
+        # span_windows gives strided views of the series; the copy is one
+        # contiguous array. Windows and pool come from the same set.
+        values = np.random.default_rng(6).normal(size=(2, 80))
+        strided = span_windows(values, 0, 80, 32, 16, stride=3)
+        contiguous = Windows(strided.data.copy(), strided.b, strided.starts)
+        assert not strided.data.flags.c_contiguous and contiguous.data.flags.c_contiguous
+        spec = AugmentSpec(kind=kind, rate=0.3)
+        outs = []
+        for ws in (strided, contiguous):
+            rng = np.random.default_rng(12)
+            outs.append([apply_augment(w, spec, rng, pool=ws).concat() for w in ws[:3]])
+        np.testing.assert_array_equal(outs[0], outs[1])
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("kind", ["freq_mask", "freq_mix", "freq_mask_keep_dominant",
                                       "freq_mask_then_mix", "noise", "time_mask_random",
@@ -444,7 +481,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("kind", ["freq_mask", "freq_mix", "noise"])
     def test_expand_draws_round_by_round_from_rng(self, kind):
-        samples = [make_sample(seed=i) for i in range(4)]
+        samples = random_windows(4, 2, 16, 8, seed=0)
         spec = AugmentSpec(kind=kind, rate=0.4)
         rng = np.random.default_rng(0)
         out = expand_dataset(samples, spec, 3, rng)
@@ -459,7 +496,7 @@ class TestDeterminism:
         assert rng.random() == ref_rng.random()
 
     def test_expand_same_seed_same_copies_other_seed_other_copies(self):
-        samples = [make_sample(seed=i) for i in range(4)]
+        samples = random_windows(4, 2, 16, 8, seed=0)
         spec = AugmentSpec(kind="freq_mask", rate=0.4)
         out1, out2, other = (expand_dataset(samples, spec, 3, np.random.default_rng(seed))
                              for seed in (5, 5, 6))
@@ -469,7 +506,7 @@ class TestDeterminism:
 
     def test_smaller_factor_is_a_prefix(self):
         # run_coldstart's factor search reseeds per factor and relies on this.
-        samples = [make_sample(c=1, b=8, h=4, seed=i) for i in range(5)]
+        samples = random_windows(5, 1, 8, 4, seed=0)
         spec = AugmentSpec(kind="freq_mask", rate=0.2)
         small = expand_dataset(samples, spec, 2, np.random.default_rng(3))
         large = expand_dataset(samples, spec, 50, np.random.default_rng(3))
@@ -499,3 +536,46 @@ def test_spec_validation():
         AugmentSpec(kind="freq_mix", rate=0.7)
     with pytest.raises(ValueError, match="rate"):
         AugmentSpec(kind="freq_mask", rate=1.5)
+
+
+def window_sample_uses(source):
+    """{enclosing function name, None at module level: line numbers} naming WindowSample."""
+    found = {}
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            elif isinstance(child, ast.alias):
+                name = (child.asname or child.name).rpartition(".")[2]
+            else:
+                name = None
+            if name == "WindowSample":
+                found.setdefault(func, []).append(child.lineno)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("source,where", [
+    ("from .dataset import WindowSample", None),
+    ("import fraug.dataset.WindowSample", None),
+    ("def f(s):\n    return dataset.WindowSample.split(s, 1)", "f"),
+    ("class A:\n    def g(self):\n        return WindowSample", "g"),
+])
+def test_window_sample_detector_flags(source, where):
+    assert list(window_sample_uses(source)) == [where]
+
+
+def test_window_sample_named_only_at_the_boundary():
+    """The window format lives in dataset; augment converts only in apply_augment."""
+    paths = sorted(Path(augment.__file__).parent.glob("*.py"))
+    found = {p.name: window_sample_uses(p.read_text()) for p in paths}
+    allowed = {"dataset.py", "cli.py", "augment.py"}
+    assert not {name: uses for name, uses in found.items()
+                if uses and name not in allowed}
+    assert set(found["augment.py"]) == {None, "apply_augment"}

@@ -277,6 +277,12 @@ class TestRun:
         ({"protocol": "coldstart", "factors": [2, -1]}, "factors"),
         ({"protocol": "coldstart", "fraction": 1.5}, "fraction"),
         ({"protocol": "coldstart", "fraction": 0.0}, "fraction"),
+        ({"lookback": 0}, "lookback"),
+        ({"horizons": [8, 0]}, "horizons"),
+        ({"protocol": "ttt", "horizons": [0]}, "horizons"),
+        ({"epochs": -1}, "epochs"),
+        ({"kinds": ["mbb"]}, "kinds"),
+        ({"protocol": "ttt", "kinds": ["freq_mask", "mbb"]}, "kinds"),
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, override, key):
         src = make_series(tmp_path)
@@ -300,6 +306,19 @@ class TestRun:
         assert run_cli("run", "--config", str(config)) == 1
         err = capsys.readouterr().err
         assert "config key 'seeds' must hold seeds >= 0, got -1" in err
+
+    def test_mbb_needs_two_periods_of_window(self, tmp_path, capsys):
+        src = make_series(tmp_path, length=800)
+        config = tmp_path / "cfg.json"
+        for lookback, rc in ((39, 1), (40, 0)):
+            config.write_text(json.dumps({
+                "dataset": str(src), "lookback": lookback, "horizons": [8, 16],
+                "kinds": ["mbb"], "epochs": 1, "out": str(tmp_path / f"run{lookback}"),
+            }))
+            assert run_cli("run", "--config", str(config)) == rc
+        err = capsys.readouterr().err
+        assert "config key 'kinds' holds mbb" in err and "'lookback'" in err
+        assert "shortest horizon >= 48, got 47" in err
 
     def test_seeds_accepted(self, tmp_path):
         src = make_series(tmp_path)

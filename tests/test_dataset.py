@@ -302,26 +302,6 @@ def test_windows_set_access():
     assert ws.data.shape == (len(ref), 2, 8) and not ws.data.flags.owndata
 
 
-def test_windows_of_passes_a_set_and_stacks_a_list_once():
-    values = np.arange(60.0).reshape(2, 30)
-    ws = span_windows(values, 0, 30, 5, 3)
-    assert Windows.of(ws) is ws
-    stacked = Windows.of(list(ws))
-    assert stacked.data.flags.c_contiguous and stacked.b == 5
-    np.testing.assert_array_equal(stacked.data, ws.data)
-    np.testing.assert_array_equal(stacked.starts, ws.starts)
-    assert len(Windows.of([])) == 0
-
-
-def test_windows_of_rejects_mixed_shapes():
-    samples = [WindowSample(np.zeros((2, 5)), np.zeros((2, 3))),
-               WindowSample(np.zeros((2, 5)), np.zeros((2, 3))),
-               WindowSample(np.zeros((2, 4)), np.zeros((2, 3)))]
-    with pytest.raises(ValueError, match=re.escape(
-            "window 2 has shape (C, b, h) = (2, 4, 3), window 0 has (2, 5, 3)")):
-        Windows.of(samples)
-
-
 def test_take_last_fraction_of_a_set_is_a_slice():
     ds = split_and_normalize(_synthetic_ds(), scheme="generic")
     ws = make_windows(ds, "train", 24, 12)

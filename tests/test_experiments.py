@@ -194,13 +194,12 @@ class TestTtt:
         spec = AugmentSpec(kind=kind, rate=0.3)
         got = _ttt_train_set(ws, bounds, spec, np.random.default_rng(3))
         rng = np.random.default_rng(3)
-        windows = list(ws)
-        expected = list(windows)
+        expected = list(ws)
         for (lo, hi), copies in zip(bounds, ttt_copy_schedule(len(bounds))):
-            part = windows[lo:hi]
+            part = ws[lo:hi]
             if part:
                 expected += list(expand_dataset(part, spec, copies + 1, rng))[len(part):]
-        assert len(windows) == 38 and len(got) == 38 + 10 * (1 + 2 + 3) + 8 * 4
+        assert len(ws) == 38 and len(got) == 38 + 10 * (1 + 2 + 3) + 8 * 4
         assert got.data.flags.c_contiguous
         assert_windows_equal(got, [(s.lookback, s.horizon, s.start_index)
                                    for s in expected])

@@ -1,5 +1,4 @@
 import json
-import re
 import tracemalloc
 from dataclasses import fields
 
@@ -8,27 +7,22 @@ import pytest
 
 import fraug.forecaster as fc
 from fraug.augment import AugmentSpec
-from fraug.dataset import (TimeSeriesDataset, WindowSample, Windows, make_windows,
+from fraug.dataset import (TimeSeriesDataset, Windows, make_windows,
                            split_and_normalize)
 from fraug.forecaster import (DLinearModel, Metrics, TrainConfig, _Adam,
                               _FlatParams, evaluate, forward, loss_and_grads,
                               moving_average_matrix, train)
 from fraug.synth import SynthSpec, generate
 
-from conftest import make_sample
+from conftest import random_windows
 
 
 def linear_samples(n, c=1, b=4, h=2, slope=2.0, seed=0):
-    """Noiseless windows from y_t = slope * t."""
+    """Noiseless windows from y_t = slope * t, each from its own random start t."""
     rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(n):
-        start = rng.uniform(-10, 10)
-        t = start + np.arange(b + h)
-        series = slope * t
-        s = np.tile(series, (c, 1))
-        samples.append(WindowSample(lookback=s[:, :b].copy(), horizon=s[:, b:].copy()))
-    return samples
+    t = np.array([rng.uniform(-10, 10) for _ in range(n)])[:, None] + np.arange(b + h)
+    data = np.repeat(slope * t[:, None, :], c, axis=1)
+    return Windows(data, b, np.arange(n))
 
 
 def moving_average_loop(b, kernel):
@@ -282,22 +276,20 @@ class TestTrain:
         assert trace.train_loss[-1] < 1e-6
 
     def test_early_stopping_restores_best(self):
-        rng = np.random.default_rng(0)
-        train_set = [make_sample(c=1, b=8, h=4, seed=i) for i in range(32)]
-        val_set = [make_sample(c=1, b=8, h=4, seed=100 + i) for i in range(8)]
+        train_set = random_windows(32, 1, 8, 4, seed=0)
+        val_set = random_windows(8, 1, 8, 4, seed=100)
         model = DLinearModel.init_random(b=8, h=4, seed=0)
         cfg = self._cfg(max_epochs=30, patience=3, learning_rate=0.05)
         model, trace = train(model, train_set, val_set, cfg)
-        look = np.stack([s.lookback for s in val_set])
-        hor = np.stack([s.horizon for s in val_set])
-        final_val = float(np.mean((model.forward_batch(look) - hor) ** 2))
+        err = model.forward_batch(val_set.lookback) - val_set.horizon
+        final_val = float(np.mean(err ** 2))
         assert final_val == pytest.approx(min(trace.val_loss), abs=1e-12)
         assert trace.best_epoch == int(np.argmin(trace.val_loss))
 
     def test_patience_stops_training(self):
         # Random noise targets: val loss stops improving quickly.
-        train_set = [make_sample(c=1, b=8, h=4, seed=i) for i in range(16)]
-        val_set = [make_sample(c=1, b=8, h=4, seed=50 + i) for i in range(4)]
+        train_set = random_windows(16, 1, 8, 4, seed=0)
+        val_set = random_windows(4, 1, 8, 4, seed=50)
         model = DLinearModel.init_random(b=8, h=4, seed=0)
         cfg = self._cfg(max_epochs=100, patience=2, learning_rate=0.1)
         model, trace = train(model, train_set, val_set, cfg)
@@ -324,7 +316,7 @@ class TestTrain:
             return orig(model, look, hor)
 
         monkeypatch.setattr(fc, "loss_and_grads", spy)
-        samples = [make_sample(c=1, b=16, h=8, seed=i) for i in range(32)]
+        samples = random_windows(32, 1, 16, 8, seed=0)
         model = DLinearModel.init_random(b=16, h=8, seed=0)
         cfg = TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=0)
         train(model, samples, samples[:4], cfg, aug=AugmentSpec(kind="freq_mask", rate=0.2))
@@ -337,7 +329,7 @@ class TestTrain:
 
 
 class TestWindowSetPath:
-    """train/evaluate on one Windows array against the per-sample list path."""
+    """train/evaluate on one Windows array."""
 
     @staticmethod
     def _sets():
@@ -347,23 +339,6 @@ class TestWindowSetPath:
             channel_names=["a", "b"]), "generic")
         return [make_windows(ds, split, 24, 12) for split in ("train", "val", "test")]
 
-    @pytest.mark.parametrize("kind", ["none", "freq_mask"])
-    def test_set_and_list_give_identical_fits(self, kind):
-        sets = self._sets()
-        results = []
-        for as_list in (False, True):
-            tr, va, te = (list(ws) if as_list else ws for ws in sets)
-            assert isinstance(tr, list) == as_list
-            model = DLinearModel.init_random(24, 12, seed=5)
-            aug = None if kind == "none" else AugmentSpec(kind=kind, rate=0.3)
-            model, trace = train(model, tr, va,
-                                 TrainConfig(batch_size=16, max_epochs=4, seed=6), aug=aug)
-            results.append((model.params().flat.copy(), trace, evaluate(model, te)))
-        (p_set, t_set, m_set), (p_list, t_list, m_list) = results
-        np.testing.assert_array_equal(p_set, p_list)
-        assert t_set == t_list and len(t_set.train_loss) == 4
-        assert m_set == m_list
-
     def test_fancy_index_gives_contiguous_batch(self):
         train_set = self._sets()[0]
         idx = np.array([5, 0, 17, 5])
@@ -371,16 +346,6 @@ class TestWindowSetPath:
         assert look.flags.c_contiguous and hor.flags.c_contiguous
         np.testing.assert_array_equal(look, np.stack([train_set[i].lookback for i in idx]))
         np.testing.assert_array_equal(hor, np.stack([train_set[i].horizon for i in idx]))
-
-    def test_mismatched_list_rejected_naming_index_and_shapes(self):
-        samples = [make_sample(c=1, b=8, h=4, seed=i) for i in range(3)]
-        samples.append(make_sample(c=2, b=8, h=4, seed=3))
-        model = DLinearModel.init_random(b=8, h=4, seed=0)
-        msg = re.escape("window 3 has shape (C, b, h) = (2, 8, 4), window 0 has (1, 8, 4)")
-        with pytest.raises(ValueError, match=msg):
-            train(model, samples, samples[:2], TrainConfig())
-        with pytest.raises(ValueError, match=msg):
-            evaluate(model, samples)
 
     def test_empty_set_rejected_like_empty_list(self):
         train_set, val_set, _ = self._sets()
@@ -427,19 +392,16 @@ class TestEvaluate:
     def test_constant_offset(self):
         model = DLinearModel(b=4, h=2)  # predicts all zeros
         delta = 1.5
-        samples = [WindowSample(lookback=np.zeros((1, 4)),
-                                horizon=np.full((1, 2), -delta))
-                   for _ in range(3)]
+        data = np.concatenate([np.zeros((3, 1, 4)), np.full((3, 1, 2), -delta)], axis=2)
+        samples = Windows(data, 4, np.arange(3))
         m = evaluate(model, samples)
         assert m.mse == pytest.approx(delta**2)
         assert m.mae == pytest.approx(delta)
         assert m.n_samples == 3
 
     def test_matches_direct_summation(self):
-        rng = np.random.default_rng(8)
         model = DLinearModel.init_random(b=6, h=3, seed=8)
-        samples = [WindowSample(lookback=rng.normal(size=(2, 6)),
-                                horizon=rng.normal(size=(2, 3))) for _ in range(5)]
+        samples = random_windows(5, 2, 6, 3, seed=8)
         m = evaluate(model, samples)
         total_sq, total_abs, count = 0.0, 0.0, 0
         for s in samples:
@@ -464,9 +426,6 @@ def whole_set_scores(model, samples):
     return float(np.mean(err * err)), float(np.mean(np.abs(err)))
 
 
-def random_windows(n, c, b, h, seed):
-    rng = np.random.default_rng(seed)
-    return Windows(rng.normal(size=(n, c, b + h)), b, np.arange(n))
 
 
 class TestBlockScoring:
