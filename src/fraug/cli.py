@@ -198,6 +198,27 @@ def _check_config_types(config):
                          f"plus the shortest horizon >= {2 * MBB_PERIOD}, got {span}")
 
 
+def _check_window_fits(config, ds):
+    """lookback + the longest horizon is shorter than every span the run windows.
+
+    A span no longer than the window holds none. ttt windows parts of
+    length // parts columns; the other protocols window the splits.
+    """
+    span = config["lookback"] + max(config["horizons"])
+    if config["protocol"] == "ttt":
+        parts = config["parts"]
+        limits = [(f"each of the {parts} parts (config key 'parts')", ds.length // parts)]
+    else:
+        limits = []
+        for split in ("train", "val", "test"):
+            lo, hi = ds.split_range(split)
+            limits.append((f"the {split} split", hi - lo))
+    for where, length in limits:
+        if span >= length:
+            raise ValueError(f"config keys 'lookback' + 'horizons' give windows of {span} "
+                             f"columns; they must be shorter than {where}, of length {length}")
+
+
 def cmd_run(args):
     config = dict(DEFAULT_CONFIG)
     if args.config:
@@ -227,6 +248,7 @@ def cmd_run(args):
     ds = split_and_normalize(load_csv(config["dataset"],
                                       date_column=config["date_column"]),
                              scheme=config["scheme"])
+    _check_window_fits(config, ds)
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 

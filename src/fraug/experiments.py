@@ -77,31 +77,34 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _fit(b, h, train_set, val_set, cfg, seed, aug=None):
+    """Train a fresh model under `seed`, which overrides cfg.seed; (model, trace)."""
+    model = DLinearModel.init_random(b, h, seed=seed)
+    return train(model, train_set, val_set, replace(cfg or TrainConfig(), seed=seed), aug=aug)
+
+
 def cross_validate_rate(ds, b, h, kind, grid=RATE_GRID, cfg=None, seed=0):
     """Pick the rate minimizing validation MSE; ties go to the smaller rate.
 
-    One model is trained per rate with batch-wise augmentation; the test
-    split is never touched. Training runs under `seed`, which overrides
-    cfg.seed as the protocol runners do for their seeds.
+    One model is trained per distinct rate with batch-wise augmentation;
+    the test split is never touched. Training runs under `seed`, which
+    overrides cfg.seed as the protocol runners do for their seeds.
+    Returns (rate, {rate: validation Metrics}, (model, trace) of the
+    chosen rate's fit).
     """
-    grid = sorted(grid)
+    grid = sorted(set(grid))
     if not grid:
         raise ValueError("empty rate grid")
-    cfg = replace(cfg or TrainConfig(), seed=seed)
     train_samples = make_windows(ds, "train", b, h)
     val_samples = make_windows(ds, "val", b, h)
-    per_rate = {}
-    best_rate, best_val = None, np.inf
+    per_rate, best_rate, best_val, best_fit = {}, None, np.inf, None
     for rate in grid:
-        model = DLinearModel.init_random(b, h, seed=cfg.seed)
-        model, trace = train(model, train_samples, val_samples, cfg,
-                             aug=AugmentSpec(kind=kind, rate=rate))
-        val = evaluate(model, val_samples)
-        per_rate[rate] = val
+        fit = _fit(b, h, train_samples, val_samples, cfg, seed,
+                   aug=AugmentSpec(kind=kind, rate=rate))
+        val = per_rate[rate] = evaluate(fit[0], val_samples)
         if val.mse < best_val:
-            best_val = val.mse
-            best_rate = rate
-    return best_rate, per_rate
+            best_rate, best_val, best_fit = rate, val.mse, fit
+    return best_rate, per_rate, best_fit
 
 
 def run_longterm(ds, horizons, kinds, b=96, cfg=None, seeds=(0,),
@@ -110,9 +113,11 @@ def run_longterm(ds, horizons, kinds, b=96, cfg=None, seeds=(0,),
     """Batch-wise 2x augmentation during training; reports test MSE/MAE.
 
     The no-augmentation control is always included. With select_rates,
-    the rate is grid-selected on the validation split (first seed);
-    otherwise fixed_rate is used.
+    a grid search on the validation split under the first seed picks the
+    rate, and its winning fit is that seed's cell; else fixed_rate is used.
     """
+    if not seeds:
+        raise ValueError(f"seeds must be non-empty, got {seeds!r}")
     t0 = time.perf_counter()
     kinds = ["none"] + [k for k in kinds if k != "none"]
     report = ExperimentReport(
@@ -124,20 +129,16 @@ def run_longterm(ds, horizons, kinds, b=96, cfg=None, seeds=(0,),
         val_samples = make_windows(ds, "val", b, h)
         test_samples = make_windows(ds, "test", b, h)
         for kind in kinds:
-            if kind == "none":
-                rate = 0.0
-            elif select_rates:
-                rate, per_rate = cross_validate_rate(ds, b, h, kind, grid=rate_grid,
-                                                     cfg=cfg, seed=seeds[0])
+            rate, fit = (0.0 if kind == "none" else fixed_rate), None
+            if kind != "none" and select_rates:
+                rate, per_rate, fit = cross_validate_rate(ds, b, h, kind, grid=rate_grid,
+                                                          cfg=cfg, seed=seeds[0])
                 report.rate_val_mse[f"{kind}/{h}"] = {r: m.mse for r, m in per_rate.items()}
-            else:
-                rate = fixed_rate
             report.chosen_rates[f"{kind}/{h}"] = rate
-            for seed in seeds:
-                run_cfg = replace(cfg or TrainConfig(), seed=seed)
-                model = DLinearModel.init_random(b, h, seed=seed)
-                aug = None if kind == "none" else AugmentSpec(kind=kind, rate=rate)
-                model, trace = train(model, train_samples, val_samples, run_cfg, aug=aug)
+            aug = None if kind == "none" else AugmentSpec(kind=kind, rate=rate)
+            for i, seed in enumerate(seeds):
+                model, trace = (fit if i == 0 and fit is not None else
+                                _fit(b, h, train_samples, val_samples, cfg, seed, aug))
                 m = evaluate(model, test_samples)
                 report.cells.append(CellResult(
                     kind=kind, h=h, seed=seed, rate=rate, mse=m.mse, mae=m.mae,
@@ -153,9 +154,15 @@ def run_coldstart(ds, h, kinds, b=96, fraction=0.01, factors=(2, 50),
                   cfg=None, seeds=(0,), rate=0.2, dataset_id="dataset") -> ExperimentReport:
     """Train on the last `fraction` of window samples, pre-expanded.
 
-    For each kind the best expansion factor is chosen by validation MSE;
-    evaluation uses the full original test split.
+    For each kind the best expansion factor is chosen by validation MSE
+    (a repeated factor trains once); evaluation uses the full original
+    test split. Each (kind, seed) is expanded once, at the largest
+    factor, from default_rng(seed); each factor trains on its prefix.
     """
+    if not seeds:
+        raise ValueError(f"seeds must be non-empty, got {seeds!r}")
+    if not factors or min(factors) < 1:
+        raise ValueError(f"factors must be non-empty and each >= 1, got {factors!r}")
     t0 = time.perf_counter()
     kinds = ["none"] + [k for k in kinds if k != "none"]
     all_train = make_windows(ds, "train", b, h)
@@ -167,19 +174,17 @@ def run_coldstart(ds, h, kinds, b=96, fraction=0.01, factors=(2, 50),
         horizons=[h], kinds=kinds, seeds=list(seeds),
     )
     for kind in kinds:
+        spec = AugmentSpec(kind=kind, rate=rate)
         for seed in seeds:
-            run_cfg = replace(cfg or TrainConfig(), seed=seed)
+            expanded = train_small if kind == "none" else expand_dataset(
+                train_small, spec, max(factors), np.random.default_rng(seed))
             best = None
-            for factor in (1,) if kind == "none" else factors:
-                spec = AugmentSpec(kind=kind, rate=rate)
-                rng = np.random.default_rng(seed)
-                expanded = expand_dataset(train_small, spec, factor, rng)
-                model = DLinearModel.init_random(b, h, seed=seed)
-                model, _ = train(model, expanded, val_samples, run_cfg, aug=None)
+            for factor in (1,) if kind == "none" else dict.fromkeys(factors):
+                model, _ = _fit(b, h, expanded[:factor * len(train_small)],
+                                val_samples, cfg, seed)
                 val = evaluate(model, val_samples)
-                test = evaluate(model, test_samples)
                 if best is None or val.mse < best[0]:
-                    best = (val.mse, factor, test)
+                    best = (val.mse, factor, evaluate(model, test_samples))
             _, factor, test = best
             report.chosen_rates[f"{kind}/{h}"] = rate if kind != "none" else 0.0
             report.cells.append(CellResult(
@@ -255,6 +260,8 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
     """
     if parts < 2:
         raise ValueError(f"parts must be >= 2, got {parts}")
+    if not seeds:
+        raise ValueError(f"seeds must be non-empty, got {seeds!r}")
     t0 = time.perf_counter()
     kinds = ["none"] + [k for k in kinds if k != "none"]
     bounds = _part_bounds(ds.length, parts)
@@ -264,7 +271,6 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
     )
     for kind in kinds:
         for seed in seeds:
-            run_cfg = replace(cfg or TrainConfig(), seed=seed)
             part_losses, part_maes = [], []
             for i in range(1, parts):
                 train_samples = span_windows(ds.values, 0, bounds[i - 1][1], b, h)
@@ -281,8 +287,7 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
                     train_set = train_samples
                 n_val = max(1, len(train_samples) // 10)
                 val_samples = train_samples[-n_val:]
-                model = DLinearModel.init_random(b, h, seed=seed)
-                model, _ = train(model, train_set, val_samples, run_cfg, aug=None)
+                model, _ = _fit(b, h, train_set, val_samples, cfg, seed)
                 m = evaluate(model, test_samples)
                 part_losses.append(m.mse)
                 part_maes.append(m.mae)

@@ -505,7 +505,8 @@ class TestDeterminism:
             assert not np.array_equal(a.concat(), c.concat())
 
     def test_smaller_factor_is_a_prefix(self):
-        # run_coldstart's factor search reseeds per factor and relies on this.
+        # run_coldstart expands once at its largest factor and trains each
+        # smaller factor on a prefix of that expansion; it relies on this.
         samples = random_windows(5, 1, 8, 4, seed=0)
         spec = AugmentSpec(kind="freq_mask", rate=0.2)
         small = expand_dataset(samples, spec, 2, np.random.default_rng(3))

@@ -298,6 +298,40 @@ class TestRun:
         assert not (out_dir / "manifest.json").exists()
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("override,where", [
+        ({"lookback": 40, "horizons": [16]}, "the val split, of length 40"),
+        ({"lookback": 24, "horizons": [8, 16]}, "the val split, of length 40"),
+        ({"protocol": "coldstart", "lookback": 32, "horizons": [8]},
+         "the val split, of length 40"),
+        ({"protocol": "ttt", "parts": 20, "lookback": 12, "horizons": [8]},
+         "each of the 20 parts (config key 'parts'), of length 20"),
+    ])
+    def test_window_longer_than_a_span_rejected_before_output(self, tmp_path, capsys,
+                                                              override, where):
+        # 400 rows split 280/40/80; lookback + the longest horizon must be shorter.
+        src = make_series(tmp_path)
+        out_dir = tmp_path / "run"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"dataset": str(src), "kinds": ["freq_mask"],
+                                      "epochs": 1, "out": str(out_dir), **override}))
+        assert run_cli("run", "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert "config keys 'lookback' + 'horizons'" in err and where in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("override", [
+        {"lookback": 23, "horizons": [8, 16]},
+        {"protocol": "ttt", "parts": 20, "lookback": 11, "horizons": [8]},
+    ])
+    def test_window_one_shorter_than_a_span_runs(self, tmp_path, override):
+        src = make_series(tmp_path)
+        out_dir = tmp_path / "run"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"dataset": str(src), "kinds": [], "epochs": 1,
+                                      "out": str(out_dir), **override}))
+        assert run_cli("run", "--config", str(config)) == 0
+        assert (out_dir / "report.json").exists()
+
     def test_negative_seed_names_key_and_value(self, tmp_path, capsys):
         src = make_series(tmp_path)
         config = tmp_path / "cfg.json"

@@ -1,15 +1,20 @@
+import ast
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import assert_windows_equal
+from fraug import experiments
 from fraug.augment import AugmentSpec, expand_dataset
-from fraug.dataset import TimeSeriesDataset, span_windows, split_and_normalize
+from fraug.dataset import (TimeSeriesDataset, make_windows, span_windows,
+                           split_and_normalize, take_last_fraction)
 from fraug.experiments import (ExperimentReport, _part_bounds, _ttt_train_set,
                                cross_validate_rate, run_coldstart, run_longterm,
                                run_ttt, ttt_copy_schedule)
-from fraug.forecaster import TrainConfig
+from fraug.forecaster import DLinearModel, TrainConfig, evaluate, train
 from fraug.synth import SynthSpec, generate
 
 
@@ -23,6 +28,31 @@ def small_dataset(length=400, seed=0):
 def quick_cfg(seed=0):
     return TrainConfig(learning_rate=1e-2, batch_size=16, max_epochs=3,
                        patience=3, seed=seed)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts the protocols' train and expand_dataset calls; records each expansion factor."""
+    counts = {"train": 0, "factors": []}
+
+    def counted_train(*args, **kwargs):
+        counts["train"] += 1
+        return train(*args, **kwargs)
+
+    def counted_expand(samples, spec, factor, rng):
+        counts["factors"].append(factor)
+        return expand_dataset(samples, spec, factor, rng)
+
+    monkeypatch.setattr(experiments, "train", counted_train)
+    monkeypatch.setattr(experiments, "expand_dataset", counted_expand)
+    return counts
+
+
+def fresh_fit(ds, b, h, cfg, seed, aug=None):
+    """A freshly initialised model trained outside the protocols: (model, trace)."""
+    model = DLinearModel.init_random(b, h, seed=seed)
+    return train(model, make_windows(ds, "train", b, h), make_windows(ds, "val", b, h),
+                 replace(cfg, seed=seed), aug=aug)
 
 
 class TestCopySchedule:
@@ -54,21 +84,38 @@ class TestCopySchedule:
 class TestCrossValidate:
     def test_singleton_grid(self):
         ds = small_dataset()
-        rate, per_rate = cross_validate_rate(ds, b=16, h=8, kind="freq_mask",
-                                             grid=(0.3,), cfg=quick_cfg())
+        rate, per_rate, _ = cross_validate_rate(ds, b=16, h=8, kind="freq_mask",
+                                                grid=(0.3,), cfg=quick_cfg())
         assert rate == 0.3
         assert list(per_rate) == [0.3]
 
     def test_picks_argmin(self):
         ds = small_dataset()
-        rate, per_rate = cross_validate_rate(ds, b=16, h=8, kind="freq_mask",
-                                             grid=(0.1, 0.3), cfg=quick_cfg())
+        rate, per_rate, _ = cross_validate_rate(ds, b=16, h=8, kind="freq_mask",
+                                                grid=(0.1, 0.3), cfg=quick_cfg())
         best = min(per_rate, key=lambda r: per_rate[r].mse)
         assert rate == best
 
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="empty rate grid"):
             cross_validate_rate(small_dataset(), 16, 8, "freq_mask", grid=())
+
+    def test_chosen_fit_equals_a_fresh_train(self):
+        ds = small_dataset()
+        rate, per_rate, (model, trace) = cross_validate_rate(
+            ds, 16, 8, "freq_mix", grid=(0.1, 0.3), cfg=quick_cfg(), seed=3)
+        ref_model, ref_trace = fresh_fit(ds, 16, 8, quick_cfg(), 3,
+                                         AugmentSpec(kind="freq_mix", rate=rate))
+        for name, value in ref_model.params().items():
+            np.testing.assert_array_equal(model.params()[name], value)
+        assert trace == ref_trace
+        assert per_rate[rate] == evaluate(ref_model, make_windows(ds, "val", 16, 8))
+
+    def test_repeated_rate_trains_once(self, calls):
+        rate, per_rate, _ = cross_validate_rate(small_dataset(), 16, 8, "freq_mask",
+                                                grid=(0.3, 0.1, 0.3), cfg=quick_cfg())
+        assert calls["train"] == 2
+        assert list(per_rate) == [0.1, 0.3] and rate in per_rate
 
 
 class TestLongterm:
@@ -108,12 +155,39 @@ class TestLongterm:
         rep = run_longterm(ds, horizons=[8], kinds=["freq_mask"], b=16,
                            cfg=quick_cfg(), seeds=(3,), select_rates=True,
                            rate_grid=grid)
-        _, seed3 = cross_validate_rate(ds, 16, 8, "freq_mask", grid=grid,
-                                       cfg=quick_cfg(), seed=3)
-        _, seed0 = cross_validate_rate(ds, 16, 8, "freq_mask", grid=grid,
-                                       cfg=quick_cfg(), seed=0)
+        _, seed3, _ = cross_validate_rate(ds, 16, 8, "freq_mask", grid=grid,
+                                          cfg=quick_cfg(), seed=3)
+        _, seed0, _ = cross_validate_rate(ds, 16, 8, "freq_mask", grid=grid,
+                                          cfg=quick_cfg(), seed=0)
         assert rep.rate_val_mse["freq_mask/8"] == {r: m.mse for r, m in seed3.items()}
         assert rep.rate_val_mse["freq_mask/8"] != {r: m.mse for r, m in seed0.items()}
+
+    def test_first_seed_cell_is_the_grid_winner(self):
+        """Reusing the grid's fit reports what a fresh train at the chosen rate gives."""
+        ds = small_dataset()
+        rep = run_longterm(ds, horizons=[8], kinds=["freq_mask"], b=16, cfg=quick_cfg(),
+                           seeds=(3, 5), select_rates=True, rate_grid=(0.1, 0.3))
+        rate = rep.chosen_rates["freq_mask/8"]
+        test = make_windows(ds, "test", 16, 8)
+        for seed, cell in zip((3, 5), [c for c in rep.cells if c.kind == "freq_mask"]):
+            model, trace = fresh_fit(ds, 16, 8, quick_cfg(), seed,
+                                     AugmentSpec(kind="freq_mask", rate=rate))
+            m = evaluate(model, test)
+            assert (cell.seed, cell.rate, cell.mse, cell.mae) == (seed, rate, m.mse, m.mae)
+            assert cell.extra == {"train_loss": trace.train_loss, "val_loss": trace.val_loss,
+                                  "best_epoch": trace.best_epoch}
+
+    @pytest.mark.parametrize("horizons,seeds,kinds,grid", [
+        ([8], (0,), ["freq_mask"], (0.1, 0.2, 0.3, 0.4, 0.5)),
+        ([4, 8], (0, 1), ["freq_mask", "freq_mix"], (0.1, 0.3, 0.2)),
+    ])
+    def test_training_count(self, calls, horizons, seeds, kinds, grid):
+        # H * (S + K * (G + S - 1)): the grid's winner is the first seed's cell.
+        cfg = TrainConfig(batch_size=64, max_epochs=1)
+        run_longterm(small_dataset(), horizons=horizons, kinds=kinds, b=16, cfg=cfg,
+                     seeds=seeds, select_rates=True, rate_grid=grid)
+        H, S, K, G = len(horizons), len(seeds), len(kinds), len(grid)
+        assert calls["train"] == H * (S + K * (G + S - 1))
 
     def test_json_round_trip(self):
         ds = small_dataset()
@@ -146,6 +220,38 @@ class TestColdstart:
         n_windows = 800 * 7 // 10 - 16 - 8  # generic train split window count
         expected = int(0.1 * n_windows)
         assert all(c.extra["n_train"] == expected for c in rep.cells)
+
+
+    @pytest.mark.parametrize("factors", [(2, 4), (5, 2, 5, 3)])
+    def test_cells_equal_expanding_per_factor(self, factors):
+        """Expanding once and slicing gives what the per-factor expansion gave."""
+        ds = small_dataset(length=800)
+        cfg, b, h, fraction, rate = quick_cfg(), 16, 8, 0.2, 0.3
+        rep = run_coldstart(ds, h=h, kinds=["freq_mask", "freq_mix"], b=b,
+                            fraction=fraction, factors=factors, cfg=cfg, seeds=(0, 1),
+                            rate=rate)
+        train_small = take_last_fraction(make_windows(ds, "train", b, h), fraction)
+        val = make_windows(ds, "val", b, h)
+        test = make_windows(ds, "test", b, h)
+        for cell in rep.cells:
+            best = None
+            for factor in (1,) if cell.kind == "none" else factors:
+                expanded = expand_dataset(train_small, AugmentSpec(kind=cell.kind, rate=rate),
+                                          factor, np.random.default_rng(cell.seed))
+                model = DLinearModel.init_random(b, h, seed=cell.seed)
+                model, _ = train(model, expanded, val, replace(cfg, seed=cell.seed))
+                v, t = evaluate(model, val), evaluate(model, test)
+                if best is None or v.mse < best[0]:
+                    best = (v.mse, factor, t)
+            _, factor, t = best
+            assert (cell.extra["factor"], cell.mse, cell.mae) == (factor, t.mse, t.mae)
+
+    def test_one_expansion_per_augmented_kind_and_seed(self, calls):
+        run_coldstart(small_dataset(length=800), h=8, kinds=["freq_mask", "freq_mix"], b=16,
+                      fraction=0.1, factors=(2, 50, 2), cfg=quick_cfg(), seeds=(0, 1))
+        assert calls["factors"] == [50] * 4
+        # Each seed: the control once, then each distinct factor once per kind.
+        assert calls["train"] == 2 * (1 + 2 * 2)
 
 
 class TestTtt:
@@ -203,6 +309,66 @@ class TestTtt:
         assert got.data.flags.c_contiguous
         assert_windows_equal(got, [(s.lookback, s.horizon, s.start_index)
                                    for s in expected])
+
+
+@pytest.mark.parametrize("run,kwargs,name", [
+    (run_longterm, dict(horizons=[8], seeds=()), "seeds"),
+    (run_longterm, dict(horizons=[8], seeds=(), select_rates=False), "seeds"),
+    (run_coldstart, dict(h=8, seeds=()), "seeds"),
+    (run_coldstart, dict(h=8, factors=()), "factors"),
+    (run_coldstart, dict(h=8, factors=(2, 0)), "factors"),
+    (run_ttt, dict(h=4, parts=3, seeds=[]), "seeds"),
+])
+def test_empty_seeds_or_bad_factors_rejected_before_training(calls, run, kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be non-empty"):
+        run(small_dataset(), kinds=["freq_mask"], b=8, cfg=quick_cfg(), **kwargs)
+    assert calls == {"train": 0, "factors": []}
+
+
+def fit_uses(source):
+    """{enclosing function name, None at module level: line numbers} naming
+    ``train`` or ``init_random``, outside imports."""
+    found = {}
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            else:
+                name = None
+            if name in ("train", "init_random"):
+                found.setdefault(func, []).append(child.lineno)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+EXPERIMENTS_SOURCE = Path(experiments.__file__).read_text()
+
+
+@pytest.mark.parametrize("source,where", [
+    ("fit = train", {None}),
+    ("def f(m, a, b, c):\n    return train(m, a, b, c)", {"f"}),
+    ("def g():\n    return forecaster.train", {"g"}),
+    ("class A:\n    def h(self):\n        return DLinearModel.init_random(4, 2)", {"h"}),
+    ("from .forecaster import DLinearModel, train\ndef f(train_set, aug=None):\n"
+     "    return train_set.b", set()),
+    (EXPERIMENTS_SOURCE.replace("        for seed in seeds:\n            part_losses",
+                                "        train(None, None, None, None)\n"
+                                "        for seed in seeds:\n            part_losses"),
+     {"_fit", "run_ttt"}),
+], ids=["alias", "call", "attribute", "method", "import-and-names", "train-in-run_ttt"])
+def test_fit_detector_flags(source, where):
+    assert set(fit_uses(source)) == where
+
+
+def test_only_fit_trains_a_fresh_model():
+    """_fit is the one place a protocol builds a DLinearModel and calls train."""
+    assert set(fit_uses(EXPERIMENTS_SOURCE)) == {"_fit"}
 
 
 def test_report_median_over_seeds():
