@@ -97,6 +97,7 @@ def cmd_spectrum(args):
 def cmd_train(args):
     ds = split_and_normalize(load_csv(args.dataset, date_column=args.date_column),
                              scheme=args.scheme)
+    _check_window_fits(ds, args.lookback + args.horizon, "--lookback + --horizon")
     train_samples = make_windows(ds, "train", args.lookback, args.horizon)
     val_samples = make_windows(ds, "val", args.lookback, args.horizon)
     cfg = TrainConfig(seed=args.seed, max_epochs=args.epochs)
@@ -198,25 +199,21 @@ def _check_config_types(config):
                          f"plus the shortest horizon >= {2 * MBB_PERIOD}, got {span}")
 
 
-def _check_window_fits(config, ds):
-    """lookback + the longest horizon is shorter than every span the run windows.
-
-    A span no longer than the window holds none. ttt windows parts of
-    length // parts columns; the other protocols window the splits.
+def _check_window_fits(ds, span, names, parts=None):
+    """A window of `span` columns, set by the options `names`, is shorter
+    than every span the run windows: with `parts` (ttt), parts of
+    length // parts columns, otherwise the splits. A span no longer than
+    the window holds none.
     """
-    span = config["lookback"] + max(config["horizons"])
-    if config["protocol"] == "ttt":
-        parts = config["parts"]
+    if parts is not None:
         limits = [(f"each of the {parts} parts (config key 'parts')", ds.length // parts)]
     else:
-        limits = []
-        for split in ("train", "val", "test"):
-            lo, hi = ds.split_range(split)
-            limits.append((f"the {split} split", hi - lo))
+        limits = [(f"the {split} split", hi - lo) for split in ("train", "val", "test")
+                  for lo, hi in [ds.split_range(split)]]
     for where, length in limits:
         if span >= length:
-            raise ValueError(f"config keys 'lookback' + 'horizons' give windows of {span} "
-                             f"columns; they must be shorter than {where}, of length {length}")
+            raise ValueError(f"{names} give windows of {span} columns; they must be "
+                             f"shorter than {where}, of length {length}")
 
 
 def cmd_run(args):
@@ -248,7 +245,9 @@ def cmd_run(args):
     ds = split_and_normalize(load_csv(config["dataset"],
                                       date_column=config["date_column"]),
                              scheme=config["scheme"])
-    _check_window_fits(config, ds)
+    _check_window_fits(ds, config["lookback"] + max(config["horizons"]),
+                       "config keys 'lookback' + 'horizons'",
+                       config["parts"] if config["protocol"] == "ttt" else None)
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -21,6 +21,7 @@ SPLIT_SCHEMES = {
     "ett-minute": (34560, 11520, 11520),
     "generic": None,
 }
+CSV_BLOCK_ROWS = 1024  # rows that load_csv parses and synth.write_csv formats at a time
 
 
 @dataclass(eq=False)
@@ -85,28 +86,43 @@ class WindowSample:
 def _split_rows(text, width, date_idx):
     """(timestamps, (rows, width - 1) values) by plain splitting, or None.
 
-    None sends the caller to csv.reader: the text has a quote or a bare
-    carriage return, no data row, a row with another cell count, or a
-    cell that float() rejects or reads as nan or infinity.
+    The rows after the header are split, parsed and checked
+    CSV_BLOCK_ROWS at a time into one preallocated array, so one block
+    of cell strings is alive at a time, not the file's. None sends the
+    caller to csv.reader: the text has a quote or a bare carriage
+    return, no data row, a row with another cell count, or a cell that
+    float() rejects or reads as nan or infinity.
     """
-    body = text.replace("\r\n", "\n")
-    if '"' in body or "\r" in body:
+    start = text.find("\n") + 1
+    rows = text.count("\n", start) + (not text.endswith("\n"))
+    head = text[:start].replace("\r\n", "\n")
+    if not start or not rows or '"' in head or "\r" in head:
         return None
-    lines = body.split("\n")[1:]
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or any(line.count(",") != width - 1 for line in lines):
-        return None
-    cells = ",".join(lines).split(",")
-    timestamps = cells[date_idx::width]
-    del cells[date_idx::width]
-    try:
-        values = np.array(list(map(float, cells)))
-    except ValueError:
-        return None
-    if not np.isfinite(values).all():
-        return None
-    return timestamps, values.reshape(len(lines), width - 1)
+    timestamps = []
+    values = np.empty((rows, width - 1))
+    for lo in range(0, rows, CSV_BLOCK_ROWS):
+        hi = min(lo + CSV_BLOCK_ROWS, rows)
+        end = start
+        for _ in range(lo, hi):
+            end = text.find("\n", end) + 1 or len(text)
+        block = text[start:end].replace("\r\n", "\n")
+        start = end
+        if '"' in block or "\r" in block:
+            return None
+        lines = block.split("\n")[:hi - lo]
+        if any(line.count(",") != width - 1 for line in lines):
+            return None
+        cells = ",".join(lines).split(",")
+        timestamps += cells[date_idx::width]
+        del cells[date_idx::width]
+        try:
+            values[lo:hi] = np.fromiter(map(float, cells), np.float64,
+                                        len(cells)).reshape(hi - lo, -1)
+        except ValueError:
+            return None
+        if not np.isfinite(values[lo:hi]).all():
+            return None
+    return timestamps, values
 
 
 def _read_rows(reader, path, header, date_idx, value_cols):
@@ -141,8 +157,8 @@ def load_csv(path, date_column="date") -> TimeSeriesDataset:
 
     All non-date columns are parsed as float64, in header order; a cell
     that is not a finite number is an error. Text with no quotes is split
-    directly; anything that split cannot read exactly is parsed again by
-    csv.reader, which names the bad row.
+    directly, one block of rows at a time; anything that split cannot
+    read exactly is parsed again by csv.reader, which names the bad row.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -150,10 +166,12 @@ def load_csv(path, date_column="date") -> TimeSeriesDataset:
         raise FileNotFoundError(f"cannot open dataset file {path}: {exc}") from exc
     with fh:
         text = fh.read()
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
+    # A first line with a quote or a bare carriage return may not end
+    # where it seems to; csv.reader over the whole text decides.
+    line = (text[:text.find("\n") + 1] or text).rstrip("\r\n")
+    plain = line and '"' not in line and "\r" not in line
+    header = next(csv.reader([line] if plain else io.StringIO(text, newline="")), None)
+    if header is None:
         raise ValueError(f"{path}: empty file")
     if date_column not in header:
         raise ValueError(f"{path}: no column named {date_column!r} in header")
@@ -164,6 +182,8 @@ def load_csv(path, date_column="date") -> TimeSeriesDataset:
     names = [header[i] for i in value_cols]
     parsed = _split_rows(text, len(header), date_idx)
     if parsed is None:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        next(reader)
         parsed = _read_rows(reader, path, header, date_idx, value_cols)
     timestamps, rows = parsed
     if len(rows) == 0:

@@ -7,6 +7,7 @@ serialized to JSON and flat CSV traces.
 """
 
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -161,8 +162,10 @@ def run_coldstart(ds, h, kinds, b=96, fraction=0.01, factors=(2, 50),
     """
     if not seeds:
         raise ValueError(f"seeds must be non-empty, got {seeds!r}")
-    if not factors or min(factors) < 1:
-        raise ValueError(f"factors must be non-empty and each >= 1, got {factors!r}")
+    # Bools are not counts here, as in fraug run's config check.
+    if not factors or any(isinstance(f, bool) or not isinstance(f, numbers.Integral)
+                          or f < 1 for f in factors):
+        raise ValueError(f"factors must be non-empty integers, each >= 1, got {factors!r}")
     t0 = time.perf_counter()
     kinds = ["none"] + [k for k in kinds if k != "none"]
     all_train = make_windows(ds, "train", b, h)

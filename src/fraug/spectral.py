@@ -16,6 +16,12 @@ the length n:
   the one-sided bins; the inverse rebuilds the negative frequencies by
   Hermitian symmetry.
 
+Leading axes are rows: a stacked (k, C, n) input gives exactly the bits
+of its k*C rows as one 2-D array. Above _REAL_N, rows are transformed
+in blocks of about _BLOCK_POINTS signal points into one preallocated
+result, so a long series holds one block's temporaries, not the
+stack's; blocking changes no bit.
+
 The complex FFT is a mixed-radix Cooley-Tukey recursion for lengths
 that factor into {2, 3, 5, 7}, with one recursive call per radix level:
 the input is viewed as p interleaved subsequences, all transformed by
@@ -39,6 +45,7 @@ import numpy as np
 _RADICES = (4, 2, 3, 5, 7)
 _DIRECT_N = 64  # at or below this, use a direct DFT matrix
 _REAL_N = 384  # at or below this, one real-table matmul per transform
+_BLOCK_POINTS = 1 << 15  # above _REAL_N, signal points transformed at a time
 
 
 @dataclass(frozen=True)
@@ -192,16 +199,54 @@ def _irfft_packed(bins, n):
     return np.ascontiguousarray(_ifft(z)).view(np.float64)
 
 
+def _table_product(x, table):
+    # x @ table, a stacked (..., n) x as one 2-D product over its rows:
+    # matmul would run one product per leading index.
+    if x.ndim < 3:
+        return x @ table
+    return (x.reshape(-1, x.shape[-1]) @ table).reshape(x.shape[:-1] + table.shape[1:])
+
+
+def _by_row_blocks(transform, x, n, width, dtype):
+    # transform of x viewed as (rows, x.shape[-1]), about _BLOCK_POINTS
+    # signal points at a time, into one preallocated (..., width) result.
+    # Input that fits one block goes through whole: a 1-D signal and the
+    # same signal as a (1, n) row can differ in the last bit.
+    rows = x.reshape(-1, x.shape[-1])
+    step = max(1, _BLOCK_POINTS // n)
+    if len(rows) <= step:
+        return transform(x, n)
+    out = np.empty((len(rows), width), dtype)
+    for lo in range(0, len(rows), step):
+        out[lo:lo + step] = transform(rows[lo:lo + step], n)
+    return out.reshape(x.shape[:-1] + (width,))
+
+
+def _rfft_long(x, n):
+    if n % 2 == 0:
+        return _rfft_packed(x)
+    return _fft(np.asarray(x, dtype=np.complex128))[..., : n // 2 + 1]
+
+
+def _irfft_long(bins, n):
+    if n % 2 == 0:
+        return _irfft_packed(bins, n)
+    k = bins.shape[-1]
+    full = np.empty(bins.shape[:-1] + (n,), dtype=np.complex128)
+    full[..., :k] = bins
+    # Negative frequencies from Hermitian symmetry.
+    tail = bins[..., 1: (n + 1) // 2]
+    full[..., k:] = np.conj(tail[..., ::-1])
+    return np.real(_ifft(full))
+
+
 def rfft_bins(x):
     """One-sided DFT bins along the last axis; no input validation."""
     n = x.shape[-1]
     if n <= _REAL_N:
         fwd, _ = _real_tables(n)
-        return (np.asarray(x, dtype=np.float64) @ fwd).view(np.complex128)
-    if n % 2 == 0:
-        return _rfft_packed(x)
-    full = _fft(np.asarray(x, dtype=np.complex128))
-    return full[..., : n // 2 + 1]
+        return _table_product(np.asarray(x, dtype=np.float64), fwd).view(np.complex128)
+    return _by_row_blocks(_rfft_long, np.asarray(x), n, n // 2 + 1, np.complex128)
 
 
 def irfft_signal(bins, origin_len):
@@ -213,16 +258,9 @@ def irfft_signal(bins, origin_len):
     n = origin_len
     if n <= _REAL_N:
         _, inv = _real_tables(n)
-        return np.ascontiguousarray(bins, dtype=np.complex128).view(np.float64) @ inv
-    if n % 2 == 0:
-        return _irfft_packed(bins, n)
-    k = bins.shape[-1]
-    full = np.empty(bins.shape[:-1] + (n,), dtype=np.complex128)
-    full[..., :k] = bins
-    # Negative frequencies from Hermitian symmetry.
-    tail = bins[..., 1: (n + 1) // 2]
-    full[..., k:] = np.conj(tail[..., ::-1])
-    return np.real(_ifft(full))
+        return _table_product(
+            np.ascontiguousarray(bins, dtype=np.complex128).view(np.float64), inv)
+    return _by_row_blocks(_irfft_long, np.asarray(bins), n, n, np.float64)
 
 
 def rfft(signal) -> Spectrum:

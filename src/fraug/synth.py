@@ -4,6 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dataset
+
 
 @dataclass
 class SynthSpec:
@@ -48,13 +50,17 @@ def write_csv(values, path):
     """Write a (C, T) array as an ETT-convention CSV (date + channels).
 
     The bytes are those csv.writer writes: no cell needs quoting, each
-    value is repr(float), and each line ends in CRLF.
+    value is repr(float), and each line ends in CRLF. Rows are
+    formatted and written dataset.CSV_BLOCK_ROWS at a time, so one
+    block's text is alive at a time, not the file's.
     """
-    c, _ = values.shape
+    c, t = values.shape
     sep = "," if c else ""
-    rows = np.asarray(values, dtype=np.float64).T.tolist()
-    text = "".join([",".join(["date"] + [f"ch{i}" for i in range(c)]) + "\r\n"]
-                   + [f"t{i:06d}{sep}{','.join(map(repr, row))}\r\n"
-                      for i, row in enumerate(rows)])
+    values = np.asarray(values, dtype=np.float64)
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        fh.write(",".join(["date"] + [f"ch{i}" for i in range(c)]) + "\r\n")
+        step = dataset.CSV_BLOCK_ROWS
+        for lo in range(0, t, step):
+            # The block's float lists die with the comprehension, before the join.
+            fh.write("".join([f"t{i:06d}{sep}{','.join(map(repr, row))}\r\n" for i, row
+                              in enumerate(values[:, lo:lo + step].T.tolist(), lo)]))

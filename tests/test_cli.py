@@ -165,6 +165,18 @@ class TestTrain:
                      "--out", str(ckpt))
         assert rc == 0
 
+    def test_window_longer_than_a_split_names_flags(self, tmp_path, capsys):
+        # 400 rows split 280/40/80: a 56-column window fits no val window.
+        src = make_series(tmp_path)
+        ckpt = tmp_path / "model.json"
+        rc = run_cli("train", "--dataset", str(src), "--lookback", "40",
+                     "--horizon", "16", "--out", str(ckpt))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert ("--lookback + --horizon give windows of 56 columns; they must be "
+                "shorter than the val split, of length 40") in err
+        assert not ckpt.exists()
+
 
 class TestRun:
     def test_longterm_with_config(self, tmp_path, capsys):

@@ -137,6 +137,70 @@ def test_malformed_csv_messages(tmp_path, text, message):
         load_csv(p)
 
 
+def _fail_over_to_csv_reader(*args):
+    pytest.fail("the split path fell back to csv.reader")
+
+
+@pytest.mark.parametrize("length", [48, 49, 50])
+def test_write_csv_blocks_match_csv_writer(tmp_path, monkeypatch, length):
+    # 7-row blocks: 48 and 50 rows end in a partial block, 49 in a full one.
+    values = _awkward_values()[:, :length]
+    monkeypatch.setattr(dataset, "CSV_BLOCK_ROWS", 7)
+    write_csv(values, tmp_path / "new.csv")
+    _csv_writer_reference(values, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("line_end,last", [("\r\n", "\r\n"), ("\n", "\n"), ("\n", "")],
+                         ids=["crlf", "lf", "lf-unterminated"])
+@pytest.mark.parametrize("length", [48, 49, 50])
+def test_load_csv_blocks_match_one_block(tmp_path, monkeypatch, length, line_end, last):
+    values = _awkward_values()[:, :length]
+    path = tmp_path / "d.csv"
+    _csv_writer_reference(values, path)
+    lines = path.read_bytes().decode().split("\r\n")[:-1]
+    path.write_bytes((line_end.join(lines) + last).encode())
+    monkeypatch.setattr(dataset, "_read_rows", _fail_over_to_csv_reader)
+    monkeypatch.setattr(dataset, "CSV_BLOCK_ROWS", 10**9)
+    whole = load_csv(path)
+    monkeypatch.setattr(dataset, "CSV_BLOCK_ROWS", 7)
+    blocks = load_csv(path)
+    assert blocks.timestamps == whole.timestamps == [f"t{i:06d}" for i in range(length)]
+    assert blocks.values.tobytes() == whole.values.tobytes()
+    np.testing.assert_array_equal(blocks.values, values)
+
+
+@pytest.mark.parametrize("row,message", [
+    ("t20,1.0,x", "row 22, column 'b': cannot parse 'x' as a number"),
+    ("t20,inf,1.0", "row 22, column 'a': 'inf' is not a finite number"),
+    ("t20,1.0", "row 22 has 2 cells, expected 3"),
+])
+def test_bad_row_in_a_later_block_names_its_row(tmp_path, monkeypatch, row, message):
+    monkeypatch.setattr(dataset, "CSV_BLOCK_ROWS", 7)
+    rows = [f"t{i},{i}.0,{i}.5" for i in range(30)]
+    rows[20] = row
+    p = tmp_path / "d.csv"
+    write_small_csv(p, rows)
+    with pytest.raises(ValueError, match=re.escape(f"{p}: {message}") + "$"):
+        load_csv(p)
+
+
+@pytest.mark.parametrize("header,line_end", [('"date","a,b",c', "\n"),
+                                             ('date,"a",b', "\r\n"),
+                                             ("date,a,b", "\r")],
+                         ids=["comma-in-quoted-name", "quoted-name", "cr-lines"])
+def test_quoted_or_cr_header_loads_like_csv_reader(tmp_path, monkeypatch, header, line_end):
+    monkeypatch.setattr(dataset, "CSV_BLOCK_ROWS", 7)
+    text = line_end.join([header] + [f"t{i},{i}.0,{i}.5" for i in range(20)]) + line_end
+    p = tmp_path / "d.csv"
+    p.write_bytes(text.encode())
+    head, *rows = csv.reader(io.StringIO(text, newline=""))
+    ds = load_csv(p)
+    assert ds.channel_names == head[1:]
+    assert ds.timestamps == [r[0] for r in rows]
+    np.testing.assert_array_equal(ds.values, np.array([r[1:] for r in rows], float).T)
+
+
 def _synthetic_ds(length=1000, channels=2, seed=0, noise=0.5):
     values = generate(SynthSpec(length=length, channels=channels,
                                 tones=[(24.0, 1.0)], noise_std=noise,

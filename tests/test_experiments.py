@@ -318,6 +318,8 @@ class TestTtt:
     (run_coldstart, dict(h=8, factors=()), "factors"),
     (run_coldstart, dict(h=8, factors=(2, 0)), "factors"),
     (run_ttt, dict(h=4, parts=3, seeds=[]), "seeds"),
+    (run_coldstart, dict(h=8, factors=(2.5,)), "factors"),
+    (run_coldstart, dict(h=8, factors=(2, True)), "factors"),
 ])
 def test_empty_seeds_or_bad_factors_rejected_before_training(calls, run, kwargs, name):
     with pytest.raises(ValueError, match=f"^{name} must be non-empty"):

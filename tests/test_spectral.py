@@ -85,6 +85,29 @@ def test_every_path_matches_complex_fft(n, shape):
     assert _normwise(back, x) <= 1e-12
 
 
+@pytest.mark.parametrize("block_rows", [1, 4, None], ids=["1-row", "4-rows", "default"])
+@pytest.mark.parametrize("n", [48, 191, 192, 288, 816, 1024, 17420])
+def test_row_blocks_give_the_bits_of_one_2d_transform(monkeypatch, n, block_rows):
+    # Reference: the rows as one 2-D array in one block, the unblocked
+    # transform. A (k, C, n) input gives exactly the bits of its k*C
+    # rows; a 1-D input those of the unblocked 1-D transform.
+    x = np.random.default_rng(n).normal(size=(2, 3, n))
+    rows = x.reshape(6, n)
+    monkeypatch.setattr(spectral, "_BLOCK_POINTS", 1 << 40)
+    bins, row_bins = rfft_bins(rows), rfft_bins(rows[4])
+    back, row_back = irfft_signal(bins, n), irfft_signal(row_bins, n)
+    if block_rows:  # 4 rows: blocks of 4 and 2
+        monkeypatch.setattr(spectral, "_BLOCK_POINTS", block_rows * n)
+    else:
+        monkeypatch.undo()
+    for got, want in [(rfft_bins(rows[4]), row_bins), (rfft_bins(rows), bins),
+                      (rfft_bins(x), bins.reshape(2, 3, -1)),
+                      (irfft_signal(row_bins, n), row_back), (irfft_signal(bins, n), back),
+                      (irfft_signal(bins.reshape(2, 3, -1), n), back.reshape(x.shape))]:
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", PATH_LENGTHS)
 def test_inverse_ignores_imaginary_dc_and_nyquist(n):
     x = np.random.default_rng(n).normal(size=(4, 3, n))
