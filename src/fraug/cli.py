@@ -4,13 +4,15 @@ Subcommands: synth (generate a synthetic CSV), augment (one-shot
 augmentation of a series file), spectrum (amplitude-spectrum dump),
 train (fit one model, save a checkpoint), run (config-driven protocol
 dispatch). Every `run` that completes writes a manifest.json with the
-fully resolved configuration, next to its report, so the run is
-reproducible.
+fully resolved configuration and the environment it ran in (argv, the
+python, numpy and BLAS versions, the git sha), next to its report, so
+the run is reproducible.
 """
 
 import argparse
 import csv
 import json
+import platform
 import sys
 from pathlib import Path
 
@@ -51,12 +53,24 @@ def cmd_synth(args):
     return 0
 
 
+def _check_flags(args, **least):
+    """AugmentSpec of --kind and --rate, once each named flag is >= its least value."""
+    for name, lo in least.items():
+        value = getattr(args, name)
+        if value < lo:
+            raise ValueError(f"--{name} must be >= {lo}, got {value}")
+    try:
+        return AugmentSpec(kind=args.kind, rate=args.rate)
+    except ValueError as exc:
+        raise ValueError(f"--rate does not suit --kind {args.kind}: {exc}") from None
+
+
 def cmd_augment(args):
+    spec = _check_flags(args, seed=0)
     ds = load_csv(args.infile, date_column=args.date_column)
     # Whole series as one window: first half look-back, rest horizon.
     b = ds.length // 2
     sample = WindowSample.split(ds.values, b)
-    spec = AugmentSpec(kind=args.kind, rate=args.rate)
     rng = np.random.default_rng(args.seed)
     partner = None
     if args.kind in MIX_KINDS:
@@ -95,6 +109,7 @@ def cmd_spectrum(args):
 
 
 def cmd_train(args):
+    aug = _check_flags(args, lookback=1, horizon=1, epochs=0, seed=0)
     ds = split_and_normalize(load_csv(args.dataset, date_column=args.date_column),
                              scheme=args.scheme)
     _check_window_fits(ds, args.lookback + args.horizon, "--lookback + --horizon")
@@ -102,9 +117,6 @@ def cmd_train(args):
     val_samples = make_windows(ds, "val", args.lookback, args.horizon)
     cfg = TrainConfig(seed=args.seed, max_epochs=args.epochs)
     model = DLinearModel.init_random(args.lookback, args.horizon, seed=args.seed)
-    aug = None
-    if args.kind != "none":
-        aug = AugmentSpec(kind=args.kind, rate=args.rate)
     model, trace = train(model, train_samples, val_samples, cfg, aug=aug)
     test = evaluate(model, make_windows(ds, "test", args.lookback, args.horizon))
     model.save(args.out)
@@ -270,13 +282,32 @@ def cmd_run(args):
         report = run_ttt(ds, config["horizons"][0], config["kinds"],
                          parts=config["parts"], rate=config["rate"], **common)
 
-    manifest = {"config": config, "version": __version__}
+    manifest = {"config": config, "version": __version__,
+                "environment": _environment(args.argv)}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
     (out_dir / "report.json").write_text(report.to_json())
     _write_traces(report, out_dir)
     for line in report.summary_lines():
         print(line)
     return 0
+
+
+def _environment(argv):
+    """argv, the python, numpy and BLAS versions, and the git sha of the
+    checkout fraug runs from (None outside one or without git)."""
+    import subprocess  # only a completed run needs it, not every import of the CLI
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):  # a numpy whose show_config has no dicts mode
+        blas = None
+    try:
+        sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=Path(__file__).parent,
+                             capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = None
+    return {"argv": argv, "python": platform.python_version(),
+            "numpy": np.__version__, "blas": blas, "git_sha": sha}
 
 
 def _write_traces(report, out_dir):
@@ -359,7 +390,9 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except (ValueError, OSError, FloatingPointError) as exc:

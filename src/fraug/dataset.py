@@ -8,7 +8,6 @@ single-window view, the type augment.apply_augment takes and returns.
 """
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -126,14 +125,15 @@ def _split_rows(text, width, date_idx):
 
 
 def _read_rows(reader, path, header, date_idx, value_cols):
+    """(timestamps, (rows, len(value_cols)) values), parsed into
+    CSV_BLOCK_ROWS-row float blocks; a bad row raises ValueError naming it."""
     timestamps = []
-    rows = []
+    blocks = [np.empty((0, len(value_cols)))]
     for rownum, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise ValueError(
                 f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}"
             )
-        timestamps.append(row[date_idx])
         try:
             values = [float(row[i]) for i in value_cols]
         except ValueError:
@@ -148,8 +148,18 @@ def _read_rows(reader, path, header, date_idx, value_cols):
                         f"{where}: cannot parse {row[i]!r} as a number") from None
                 if not finite:
                     raise ValueError(f"{where}: {row[i]!r} is not a finite number")
-        rows.append(values)
-    return timestamps, rows
+        k = len(timestamps) % CSV_BLOCK_ROWS
+        if k == 0:
+            blocks.append(np.empty((CSV_BLOCK_ROWS, len(value_cols))))
+        blocks[-1][k] = values
+        timestamps.append(row[date_idx])
+    return timestamps, np.concatenate(blocks)[:len(timestamps)]
+
+
+def _file_rows(path):
+    """csv.reader rows streamed from the file, opened as load_csv opens it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        yield from csv.reader(fh)
 
 
 def load_csv(path, date_column="date") -> TimeSeriesDataset:
@@ -167,10 +177,11 @@ def load_csv(path, date_column="date") -> TimeSeriesDataset:
     with fh:
         text = fh.read()
     # A first line with a quote or a bare carriage return may not end
-    # where it seems to; csv.reader over the whole text decides.
+    # where it seems to; csv.reader over the file decides.
     line = (text[:text.find("\n") + 1] or text).rstrip("\r\n")
     plain = line and '"' not in line and "\r" not in line
-    header = next(csv.reader([line] if plain else io.StringIO(text, newline="")), None)
+    rows = _file_rows(path)  # a generator: the file is opened again only if read
+    header = next(csv.reader([line]) if plain else rows, None)
     if header is None:
         raise ValueError(f"{path}: empty file")
     if date_column not in header:
@@ -180,16 +191,16 @@ def load_csv(path, date_column="date") -> TimeSeriesDataset:
     if not value_cols:
         raise ValueError(f"{path}: no numeric columns besides {date_column!r}")
     names = [header[i] for i in value_cols]
-    parsed = _split_rows(text, len(header), date_idx)
+    parsed = _split_rows(text, len(header), date_idx) if plain else None
     if parsed is None:
-        reader = csv.reader(io.StringIO(text, newline=""))
-        next(reader)
-        parsed = _read_rows(reader, path, header, date_idx, value_cols)
-    timestamps, rows = parsed
-    if len(rows) == 0:
+        text = None  # csv.reader streams the file instead
+        if plain:
+            next(rows)  # the header, parsed above
+        parsed = _read_rows(rows, path, header, date_idx, value_cols)
+    timestamps, values = parsed
+    if len(values) == 0:
         raise ValueError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=np.float64).T
-    return TimeSeriesDataset(values=values, channel_names=names, timestamps=timestamps)
+    return TimeSeriesDataset(values=values.T, channel_names=names, timestamps=timestamps)
 
 
 def split_and_normalize(ds: TimeSeriesDataset, scheme="generic") -> TimeSeriesDataset:

@@ -1,5 +1,7 @@
 import csv
 import json
+import platform
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +127,21 @@ class TestAugment:
         assert rc == 1
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--seed", "-3", "--seed must be >= 0, got -3"),
+        ("--rate", "1.5", "--rate does not suit --kind freq_mask: "
+                          "rate must be in [0, 1], got 1.5"),
+    ], ids=["seed", "rate"])
+    def test_bad_flag_named_before_reading(self, tmp_path, capsys, flag, value, message):
+        # The input does not exist: a flag checked after reading would
+        # report the missing file instead.
+        out = tmp_path / "o.csv"
+        rc = run_cli("augment", "--in", str(tmp_path / "nope.csv"), "--out", str(out),
+                     flag, value)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestSpectrum:
     def test_identical_columns(self, tmp_path):
@@ -165,6 +182,33 @@ class TestTrain:
                      "--out", str(ckpt))
         assert rc == 0
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--lookback", "0", "--lookback must be >= 1, got 0"),
+        ("--horizon", "0", "--horizon must be >= 1, got 0"),
+        ("--epochs", "-1", "--epochs must be >= 0, got -1"),
+        ("--seed", "-3", "--seed must be >= 0, got -3"),
+        ("--rate", "-0.1", "--rate does not suit --kind none: "
+                           "rate must be in [0, 1], got -0.1"),
+        ("--rate", "nan", "--rate does not suit --kind none: "
+                          "rate must be in [0, 1], got nan"),
+    ], ids=["lookback", "horizon", "epochs", "seed", "rate", "rate-nan"])
+    def test_bad_flag_named_before_reading(self, tmp_path, capsys, flag, value, message):
+        # The dataset does not exist: a flag checked after reading would
+        # report the missing file instead.
+        ckpt = tmp_path / "model.json"
+        rc = run_cli("train", "--dataset", str(tmp_path / "nope.csv"),
+                     "--out", str(ckpt), flag, value)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not ckpt.exists()
+
+    def test_mix_rate_above_half_named_before_reading(self, tmp_path, capsys):
+        rc = run_cli("train", "--dataset", str(tmp_path / "nope.csv"), "--out",
+                     str(tmp_path / "model.json"), "--kind", "freq_mix", "--rate", "0.7")
+        assert rc == 1
+        assert "--rate does not suit --kind freq_mix: mix rate must be <= 0.5" in (
+            capsys.readouterr().err)
+
     def test_window_longer_than_a_split_names_flags(self, tmp_path, capsys):
         # 400 rows split 280/40/80: a 56-column window fits no val window.
         src = make_series(tmp_path)
@@ -194,8 +238,15 @@ class TestRun:
         }))
         rc = run_cli("run", "--config", str(config))
         assert rc == 0
-        manifest = json.loads((out_dir / "manifest.json").read_text())
+        manifest = json.loads((out_dir / "manifest.json").read_text(),
+                              parse_constant=reject_constant)
         assert manifest["config"]["dataset"] == str(src)
+        env = manifest["environment"]
+        assert env["argv"] == ["run", "--config", str(config)]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["git_sha"] is None or re.fullmatch("[0-9a-f]{40}", env["git_sha"])
         report = json.loads((out_dir / "report.json").read_text())
         assert report["protocol"] == "longterm"
         assert {c["kind"] for c in report["cells"]} == {"none", "freq_mask"}
@@ -203,6 +254,17 @@ class TestRun:
         assert trace[0] == "kind,h,seed,epoch,train_loss,val_loss"
         assert len(trace) > 1
         assert "median MSE" in capsys.readouterr().out
+
+    def test_manifest_sha_is_null_without_git(self, monkeypatch):
+        import subprocess
+
+        from fraug.cli import _environment
+
+        def no_git(*args, **kwargs):
+            raise FileNotFoundError("git")
+
+        monkeypatch.setattr(subprocess, "run", no_git)
+        assert _environment(["run"])["git_sha"] is None
 
     def test_flag_overrides_config(self, tmp_path):
         src = make_series(tmp_path)

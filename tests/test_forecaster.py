@@ -8,7 +8,7 @@ import pytest
 import fraug.forecaster as fc
 from fraug.augment import AugmentSpec
 from fraug.dataset import (TimeSeriesDataset, Windows, make_windows,
-                           split_and_normalize)
+                           span_windows, split_and_normalize)
 from fraug.forecaster import (DLinearModel, Metrics, TrainConfig, _Adam,
                               _FlatParams, evaluate, forward, loss_and_grads,
                               moving_average_matrix, train)
@@ -326,6 +326,127 @@ class TestTrain:
         model = DLinearModel.init_random(b=4, h=2, seed=0)
         with pytest.raises(ValueError):
             train(model, [], linear_samples(2), TrainConfig())
+
+
+def reference_loss_and_grads(model, lookback, target):
+    """loss_and_grads as first written: np.mean, np.sum and a zeroed vector."""
+    x = model._rows(lookback)
+    w, c = model.effective_map()
+    err = x @ w.T
+    err += c
+    err -= target.reshape(-1, model.h)
+    loss = float(np.mean(err * err))
+    dpred = err
+    dpred *= 2.0
+    dpred /= dpred.size
+    g = dpred.T @ x
+    grads = _FlatParams(model.b, model.h)
+    np.matmul(g, model._ma.T, out=grads["w_trend"])
+    np.subtract(g, grads["w_trend"], out=grads["w_seasonal"])
+    np.sum(dpred, axis=0, out=grads["b_trend"])
+    grads["b_seasonal"][...] = grads["b_trend"]
+    return loss, grads
+
+
+def reference_train(model, train_samples, val_samples, cfg, aug=None):
+    """train's loop with the step as first written: one fancy index each
+    for look-backs and horizons, copies stacked by np.concatenate, the
+    reference step and np.isfinite."""
+    augmenting = aug is not None and aug.kind != "none"
+    rng = np.random.default_rng(cfg.seed)
+    opt = _Adam(model.params().flat, cfg.learning_rate)
+    trace = fc.TrainingTrace()
+    best, best_val, bad_epochs = model.copy_params(), np.inf, 0
+    step_size = max(1, cfg.batch_size // 2 if augmenting else cfg.batch_size)
+    for epoch in range(cfg.max_epochs):
+        order = rng.permutation(len(train_samples))
+        epoch_losses = []
+        for lo in range(0, len(order), step_size):
+            idx = order[lo: lo + step_size]
+            look, hor = train_samples.lookback[idx], train_samples.horizon[idx]
+            if augmenting:
+                copies = [fc.apply_augment(train_samples[i], aug, rng, pool=train_samples)
+                          for i in idx]
+                look = np.concatenate([look, [c.lookback for c in copies]])
+                hor = np.concatenate([hor, [c.horizon for c in copies]])
+            loss, grads = reference_loss_and_grads(model, look, hor)
+            assert np.isfinite(loss)
+            epoch_losses.append(loss)
+            opt.step(grads.flat)
+        val_loss = fc._score(model, val_samples)[0]
+        trace.train_loss.append(float(np.mean(epoch_losses)))
+        trace.val_loss.append(val_loss)
+        if val_loss < best_val:
+            best, best_val, bad_epochs = model.copy_params(), val_loss, 0
+            trace.best_epoch = epoch
+        else:
+            bad_epochs += 1
+            if bad_epochs >= cfg.patience:
+                break
+    model.set_params(best)
+    return model, trace
+
+
+class TestStepBits:
+    """train's one-gather step gives the reference step's bits."""
+
+    @pytest.mark.parametrize("kind", ["none", "freq_mask"])
+    @pytest.mark.parametrize("n,c,b,h,stride", [(70, 1, 16, 8, 1), (36, 7, 96, 96, 3)],
+                             ids=["C1", "C7"])
+    def test_train_matches_reference_loop(self, n, c, b, h, stride, kind):
+        # Strided read-only views of one series, as make_windows gives them.
+        span = stride * n + b + h
+        values = np.random.default_rng(1).normal(size=(c, span))
+        train_set = span_windows(values, 0, span, b, h, stride)
+        assert len(train_set) == n and not train_set.data.flags.c_contiguous
+        val_set = random_windows(12, c, b, h, seed=2)
+        cfg = TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=4, patience=2, seed=5)
+        aug = AugmentSpec(kind=kind, rate=0.3)
+        got, got_trace = train(DLinearModel.init_random(b, h, seed=3), train_set,
+                               val_set, cfg, aug=aug)
+        want, want_trace = reference_train(DLinearModel.init_random(b, h, seed=3),
+                                           train_set, val_set, cfg, aug=aug)
+        assert got.params().flat.tobytes() == want.params().flat.tobytes()
+        assert got_trace.train_loss == want_trace.train_loss
+        assert got_trace.val_loss == want_trace.val_loss
+        assert got_trace.best_epoch == want_trace.best_epoch
+
+    @pytest.mark.parametrize("n,c,b,h", [(32, 1, 16, 8), (32, 7, 96, 96), (5, 3, 7, 5)])
+    def test_views_of_one_gather_match_contiguous_copies(self, n, c, b, h):
+        windows = random_windows(3 * n, c, b, h, seed=4)
+        model = DLinearModel.init_random(b, h, seed=6)
+        batch = windows.data[np.random.default_rng(7).permutation(3 * n)[:n]]
+        look, hor = batch[:, :, :b], batch[:, :, b:]
+        assert np.shares_memory(model._rows(look), batch)
+        assert np.shares_memory(hor.reshape(-1, h), batch)
+        got_loss, got = loss_and_grads(model, look, hor)
+        want_loss, want = reference_loss_and_grads(model, look.copy(), hor.copy())
+        assert got_loss == want_loss
+        assert got.flat.tobytes() == want.flat.tobytes()
+
+
+class TestLossRows:
+    """The rows each epoch passes to loss_and_grads, counted as the
+    benchmark's trace counts them: the second argument's first axis."""
+
+    @pytest.mark.parametrize("kind,step,rows_per_window",
+                             [("none", 8, 1), ("freq_mask", 4, 2)])
+    def test_one_epoch_counts(self, monkeypatch, kind, step, rows_per_window):
+        rows = []
+        orig = fc.loss_and_grads
+
+        def spy(model, look, hor):
+            rows.append(look.shape[0])
+            return orig(model, look, hor)
+
+        monkeypatch.setattr(fc, "loss_and_grads", spy)
+        n = 37
+        samples = random_windows(n, 2, 16, 8, seed=0)
+        cfg = TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=0)
+        train(DLinearModel.init_random(b=16, h=8, seed=0), samples, samples[:4], cfg,
+              aug=AugmentSpec(kind=kind, rate=0.2))
+        assert len(rows) == -(-n // step)
+        assert sum(rows) == rows_per_window * n
 
 
 class TestWindowSetPath:

@@ -3,7 +3,8 @@
 load_csv, write_csv and the long transforms work one block of rows at
 a time, so none of them holds a whole-file temporary. Before blocking,
 load_csv peaked at 13.4x its file, write_csv at 4.4x its text and the
-transform pair at 15.9 MiB.
+transform pair at 15.9 MiB; before its csv.reader fallback streamed the
+file, a quoted file peaked at 8.1x.
 """
 
 import tracemalloc
@@ -39,6 +40,27 @@ def test_load_csv_peaks_within_5x_its_file(tmp_path, series):
     size = path.stat().st_size
     peak = _peak_bytes(lambda: load_csv(path))
     assert peak <= 5 * size, f"peak {peak} B for a {size} B file"
+
+
+@pytest.mark.parametrize("quoting", ["dates", "all"])
+def test_quoted_csv_peaks_within_3x_its_file(tmp_path, series, quoting):
+    # Quotes send load_csv to csv.reader: quoted dates after a plain
+    # header, or every cell, the header's too.
+    plain = tmp_path / "plain.csv"
+    write_csv(series, plain)
+    lines = plain.read_text().splitlines()
+    if quoting == "dates":
+        lines[1:] = [f'"{line[:7]}"{line[7:]}' for line in lines[1:]]
+    else:
+        lines = [",".join(f'"{cell}"' for cell in line.split(",")) for line in lines]
+    path = tmp_path / "quoted.csv"
+    path.write_text("\r\n".join(lines) + "\r\n", newline="")
+    size = path.stat().st_size
+    peak = _peak_bytes(lambda: load_csv(path))
+    assert peak <= 3 * size, f"peak {peak} B for a {size} B file"
+    want, got = load_csv(plain), load_csv(path)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.timestamps == want.timestamps
 
 
 def test_write_csv_peaks_within_a_quarter_of_its_text(tmp_path, series):
