@@ -9,8 +9,8 @@ from .augment import (AugmentSpec, create_random_mask, freq_mask, freq_mix,
                       freq_mask_then_mix, baseline_augment, dtw_distance,
                       asd_augment, decompose, mbb_augment, apply_augment,
                       expand_dataset)
-from .forecaster import (DLinearModel, TrainConfig, Metrics, forward,
-                         loss_and_grads, train, evaluate)
+from .forecaster import (DLinearModel, TrainConfig, Metrics, loss_and_grads,
+                         train, evaluate)
 from .experiments import (ExperimentReport, cross_validate_rate, run_longterm,
                           run_coldstart, run_ttt, ttt_copy_schedule)
 from .synth import SynthSpec, generate, write_csv

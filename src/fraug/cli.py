@@ -12,6 +12,7 @@ the run is reproducible.
 import argparse
 import csv
 import json
+import math
 import platform
 import sys
 from pathlib import Path
@@ -37,11 +38,24 @@ def _parse_tones(text):
     tones = []
     for part in text.split(","):
         period, _, amp = part.partition(":")
-        tones.append((float(period), float(amp) if amp else 1.0))
+        try:
+            period, amp = float(period), float(amp or 1.0)
+        except ValueError:
+            period = amp = math.nan
+        if not (0 < period < math.inf and math.isfinite(amp)):
+            raise ValueError(f"--tones entry {part!r} is not period[:amp] with "
+                             f"finite numbers and period > 0")
+        tones.append((period, amp))
     return tones
 
 
 def cmd_synth(args):
+    _check_least(args, length=1, channels=1, seed=0, noise=0)
+    for flag in ("noise", "trend", "shift_delta"):
+        if not math.isfinite(getattr(args, flag)):
+            raise ValueError(f"--{flag.replace('_', '-')} must be finite")
+    if args.shift_at is not None and not 0 <= args.shift_at < args.length:
+        raise ValueError(f"--shift-at must be in [0, {args.length}), got {args.shift_at}")
     spec = SynthSpec(
         length=args.length, channels=args.channels,
         tones=_parse_tones(args.tones), noise_std=args.noise,
@@ -53,12 +67,17 @@ def cmd_synth(args):
     return 0
 
 
-def _check_flags(args, **least):
-    """AugmentSpec of --kind and --rate, once each named flag is >= its least value."""
+def _check_least(args, **least):
+    """Raise ValueError naming the first flag that is not >= its least value."""
     for name, lo in least.items():
         value = getattr(args, name)
-        if value < lo:
+        if not value >= lo:
             raise ValueError(f"--{name} must be >= {lo}, got {value}")
+
+
+def _check_flags(args, **least):
+    """AugmentSpec of --kind and --rate, once each named flag is >= its least value."""
+    _check_least(args, **least)
     try:
         return AugmentSpec(kind=args.kind, rate=args.rate)
     except ValueError as exc:

@@ -5,11 +5,15 @@ window k is a look-back (its first b columns) followed by a horizon,
 plus the start column of each window; it is the one set type. A
 training batch is one fancy index into that array; WindowSample is the
 single-window view, the type augment.apply_augment takes and returns.
+
+load_csv has one parser: csv.reader streams the file, and each
+CSV_BLOCK_ROWS rows are checked and parsed to floats in bulk.
 """
 
 import csv
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain, islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -82,125 +86,70 @@ class WindowSample:
         return cls(lookback=window[:, :b], horizon=window[:, b:], start_index=start_index)
 
 
-def _split_rows(text, width, date_idx):
-    """(timestamps, (rows, width - 1) values) by plain splitting, or None.
-
-    The rows after the header are split, parsed and checked
-    CSV_BLOCK_ROWS at a time into one preallocated array, so one block
-    of cell strings is alive at a time, not the file's. None sends the
-    caller to csv.reader: the text has a quote or a bare carriage
-    return, no data row, a row with another cell count, or a cell that
-    float() rejects or reads as nan or infinity.
-    """
-    start = text.find("\n") + 1
-    rows = text.count("\n", start) + (not text.endswith("\n"))
-    head = text[:start].replace("\r\n", "\n")
-    if not start or not rows or '"' in head or "\r" in head:
-        return None
-    timestamps = []
-    values = np.empty((rows, width - 1))
-    for lo in range(0, rows, CSV_BLOCK_ROWS):
-        hi = min(lo + CSV_BLOCK_ROWS, rows)
-        end = start
-        for _ in range(lo, hi):
-            end = text.find("\n", end) + 1 or len(text)
-        block = text[start:end].replace("\r\n", "\n")
-        start = end
-        if '"' in block or "\r" in block:
-            return None
-        lines = block.split("\n")[:hi - lo]
-        if any(line.count(",") != width - 1 for line in lines):
-            return None
-        cells = ",".join(lines).split(",")
-        timestamps += cells[date_idx::width]
-        del cells[date_idx::width]
-        try:
-            values[lo:hi] = np.fromiter(map(float, cells), np.float64,
-                                        len(cells)).reshape(hi - lo, -1)
-        except ValueError:
-            return None
-        if not np.isfinite(values[lo:hi]).all():
-            return None
-    return timestamps, values
-
-
-def _read_rows(reader, path, header, date_idx, value_cols):
-    """(timestamps, (rows, len(value_cols)) values), parsed into
-    CSV_BLOCK_ROWS-row float blocks; a bad row raises ValueError naming it."""
-    timestamps = []
-    blocks = [np.empty((0, len(value_cols)))]
-    for rownum, row in enumerate(reader, start=2):
+def _check_rows(block, rownum, path, header, value_cols):
+    """Raise ValueError naming the first row of the block, numbered from
+    rownum, whose cell count differs from the header's or one of whose
+    value cells is not a finite number."""
+    for rownum, row in enumerate(block, start=rownum):
         if len(row) != len(header):
             raise ValueError(
                 f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}"
             )
-        try:
-            values = [float(row[i]) for i in value_cols]
-        except ValueError:
-            values = None
-        if values is None or not all(map(math.isfinite, values)):
-            for i in value_cols:
-                where = f"{path}: row {rownum}, column {header[i]!r}"
-                try:
-                    finite = math.isfinite(float(row[i]))
-                except ValueError:
-                    raise ValueError(
-                        f"{where}: cannot parse {row[i]!r} as a number") from None
-                if not finite:
-                    raise ValueError(f"{where}: {row[i]!r} is not a finite number")
-        k = len(timestamps) % CSV_BLOCK_ROWS
-        if k == 0:
-            blocks.append(np.empty((CSV_BLOCK_ROWS, len(value_cols))))
-        blocks[-1][k] = values
-        timestamps.append(row[date_idx])
-    return timestamps, np.concatenate(blocks)[:len(timestamps)]
-
-
-def _file_rows(path):
-    """csv.reader rows streamed from the file, opened as load_csv opens it."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        yield from csv.reader(fh)
+        for i in value_cols:
+            where = f"{path}: row {rownum}, column {header[i]!r}"
+            try:
+                finite = math.isfinite(float(row[i]))
+            except ValueError:
+                raise ValueError(f"{where}: cannot parse {row[i]!r} as a number") from None
+            if not finite:
+                raise ValueError(f"{where}: {row[i]!r} is not a finite number")
 
 
 def load_csv(path, date_column="date") -> TimeSeriesDataset:
     """Parse a header-and-date-column CSV into a dataset.
 
     All non-date columns are parsed as float64, in header order; a cell
-    that is not a finite number is an error. Text with no quotes is split
-    directly, one block of rows at a time; anything that split cannot
-    read exactly is parsed again by csv.reader, which names the bad row.
+    that is not a finite number is an error. csv.reader streams the
+    file, and each CSV_BLOCK_ROWS rows are checked and parsed as one
+    block, so one block of cell strings is alive at a time; only a
+    block that fails is scanned again row by row, to name its first bad
+    row.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise FileNotFoundError(f"cannot open dataset file {path}: {exc}") from exc
     with fh:
-        text = fh.read()
-    # A first line with a quote or a bare carriage return may not end
-    # where it seems to; csv.reader over the file decides.
-    line = (text[:text.find("\n") + 1] or text).rstrip("\r\n")
-    plain = line and '"' not in line and "\r" not in line
-    rows = _file_rows(path)  # a generator: the file is opened again only if read
-    header = next(csv.reader([line]) if plain else rows, None)
-    if header is None:
-        raise ValueError(f"{path}: empty file")
-    if date_column not in header:
-        raise ValueError(f"{path}: no column named {date_column!r} in header")
-    date_idx = header.index(date_column)
-    value_cols = [i for i in range(len(header)) if i != date_idx]
-    if not value_cols:
-        raise ValueError(f"{path}: no numeric columns besides {date_column!r}")
-    names = [header[i] for i in value_cols]
-    parsed = _split_rows(text, len(header), date_idx) if plain else None
-    if parsed is None:
-        text = None  # csv.reader streams the file instead
-        if plain:
-            next(rows)  # the header, parsed above
-        parsed = _read_rows(rows, path, header, date_idx, value_cols)
-    timestamps, values = parsed
-    if len(values) == 0:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        if date_column not in header:
+            raise ValueError(f"{path}: no column named {date_column!r} in header")
+        width, date_idx = len(header), header.index(date_column)
+        value_cols = [i for i in range(width) if i != date_idx]
+        if not value_cols:
+            raise ValueError(f"{path}: no numeric columns besides {date_column!r}")
+        timestamps, blocks = [], []
+        while block := list(islice(rows, CSV_BLOCK_ROWS)):
+            values = None
+            if set(map(len, block)) == {width}:
+                cells = list(chain.from_iterable(block))
+                stamps = cells[date_idx::width]
+                del cells[date_idx::width]
+                try:
+                    values = np.fromiter(map(float, cells), np.float64, len(cells))
+                except ValueError:
+                    pass
+            if values is None or not np.isfinite(values).all():
+                _check_rows(block, 2 + len(timestamps), path, header, value_cols)  # raises
+            timestamps += stamps
+            blocks.append(values.reshape(len(block), -1))
+    if not blocks:
         raise ValueError(f"{path}: no data rows")
-    return TimeSeriesDataset(values=values.T, channel_names=names, timestamps=timestamps)
+    values = np.concatenate(blocks).T
+    return TimeSeriesDataset(values=values, channel_names=[header[i] for i in value_cols],
+                             timestamps=timestamps)
 
 
 def split_and_normalize(ds: TimeSeriesDataset, scheme="generic") -> TimeSeriesDataset:

@@ -16,7 +16,7 @@ import numpy as np
 from .augment import AugmentSpec, expand_dataset
 from .dataset import (TimeSeriesDataset, Windows, make_windows, span_windows,
                       take_last_fraction)
-from .forecaster import DLinearModel, Metrics, TrainConfig, evaluate, train
+from .forecaster import DLinearModel, TrainConfig, evaluate, train
 
 RATE_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
 

@@ -176,14 +176,6 @@ class DLinearModel:
         return cls(b=b, h=h, kernel=doc["kernel"], **params)
 
 
-def forward(model: DLinearModel, lookback):
-    """Single-sample forward: (C, b) -> (C, h)."""
-    lookback = np.asarray(lookback, dtype=np.float64)
-    if lookback.ndim != 2:
-        raise ValueError("lookback must be a (C, b) matrix")
-    return model.forward_batch(lookback[None])[0]
-
-
 @dataclass
 class TrainConfig:
     learning_rate: float = 5e-3

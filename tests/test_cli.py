@@ -60,6 +60,36 @@ class TestSynth:
         run_cli("synth", "--out", str(b), "--noise", "0.1", "--seed", "2")
         assert a.read_bytes() != b.read_bytes()
 
+    @pytest.mark.parametrize("flag,args", [
+        ("--length", ["--length", "0"]),
+        ("--channels", ["--channels", "0"]),
+        ("--seed", ["--seed", "-1"]),
+        ("--noise", ["--noise", "-1"]),
+        ("--noise", ["--noise", "nan"]),
+        ("--noise", ["--noise", "inf"]),
+        ("--trend", ["--trend", "nan"]),
+        ("--shift-delta", ["--shift-at", "3", "--shift-delta", "inf"]),
+        ("--tones", ["--tones", "0:1"]),
+        ("--tones", ["--tones", "24:x"]),
+        ("--tones", ["--tones", "24:1,"]),
+        ("--tones", ["--tones", "-5"]),
+        ("--tones", ["--tones", "24:inf"]),
+        ("--shift-at", ["--shift-at", "-3"]),
+        ("--shift-at", ["--length", "100", "--shift-at", "100"]),
+    ])
+    def test_bad_flag_rejected_before_writing(self, tmp_path, capsys, flag, args):
+        out = tmp_path / "series.csv"
+        assert run_cli("synth", "--out", str(out), *args) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_edge_flags_accepted(self, tmp_path):
+        out = tmp_path / "series.csv"
+        assert run_cli("synth", "--out", str(out), "--length", "1", "--channels", "1",
+                       "--seed", "0", "--noise", "0", "--shift-at", "0",
+                       "--tones", "0.5:-2,24") == 0
+        assert load_csv(out).length == 1
+
 
 class TestAugment:
     def test_basic(self, tmp_path):

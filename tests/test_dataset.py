@@ -84,23 +84,19 @@ def test_write_csv_bytes_match_csv_writer(tmp_path, channels):
 
 @pytest.mark.parametrize("header,line_end", [("date,ch0,ch1,ch2", "\r\n"),
                                              ("ch0,date,ch1,ch2", "\n")])
-def test_split_parse_matches_csv_reader(header, line_end):
+def test_load_csv_reads_awkward_values_bit_for_bit(tmp_path, header, line_end):
     values = _awkward_values()
     rows = []
     for i, row in enumerate(values.T.tolist()):
         cells = [repr(v) for v in row]
         cells.insert(header.split(",").index("date"), f"t{i}")
         rows.append(",".join(cells))
-    text = line_end.join([header] + rows) + line_end
-    reader = csv.reader(io.StringIO(text, newline=""))
-    head = next(reader)
-    date_idx = head.index("date")
-    value_cols = [i for i in range(len(head)) if i != date_idx]
-    want_ts, want_rows = dataset._read_rows(reader, "x.csv", head, date_idx, value_cols)
-    got_ts, got_rows = dataset._split_rows(text, len(head), date_idx)
-    assert got_ts == want_ts
-    np.testing.assert_array_equal(got_rows, np.asarray(want_rows))
-    np.testing.assert_array_equal(got_rows.T, values)
+    p = tmp_path / "d.csv"
+    p.write_bytes((line_end.join([header] + rows) + line_end).encode())
+    ds = load_csv(p)
+    assert ds.timestamps == [f"t{i}" for i in range(values.shape[1])]
+    assert ds.channel_names == ["ch0", "ch1", "ch2"]
+    assert ds.values.tobytes() == values.tobytes()
 
 
 def test_quoted_csv_reads_like_plain(tmp_path):
@@ -137,10 +133,6 @@ def test_malformed_csv_messages(tmp_path, text, message):
         load_csv(p)
 
 
-def _fail_over_to_csv_reader(*args):
-    pytest.fail("the split path fell back to csv.reader")
-
-
 @pytest.mark.parametrize("length", [48, 49, 50])
 def test_write_csv_blocks_match_csv_writer(tmp_path, monkeypatch, length):
     # 7-row blocks: 48 and 50 rows end in a partial block, 49 in a full one.
@@ -160,7 +152,6 @@ def test_load_csv_blocks_match_one_block(tmp_path, monkeypatch, length, line_end
     _csv_writer_reference(values, path)
     lines = path.read_bytes().decode().split("\r\n")[:-1]
     path.write_bytes((line_end.join(lines) + last).encode())
-    monkeypatch.setattr(dataset, "_read_rows", _fail_over_to_csv_reader)
     monkeypatch.setattr(dataset, "CSV_BLOCK_ROWS", 10**9)
     whole = load_csv(path)
     monkeypatch.setattr(dataset, "CSV_BLOCK_ROWS", 7)

@@ -10,7 +10,7 @@ from fraug.augment import AugmentSpec
 from fraug.dataset import (TimeSeriesDataset, Windows, make_windows,
                            span_windows, split_and_normalize)
 from fraug.forecaster import (DLinearModel, Metrics, TrainConfig, _Adam,
-                              _FlatParams, evaluate, forward, loss_and_grads,
+                              _FlatParams, evaluate, loss_and_grads,
                               moving_average_matrix, train)
 from fraug.synth import SynthSpec, generate
 
@@ -44,13 +44,14 @@ def test_moving_average_matrix_equals_loop(b, kernel):
 class TestForward:
     def test_zero_model_predicts_zero(self):
         model = DLinearModel(b=8, h=4)
-        out = forward(model, np.random.default_rng(0).normal(size=(3, 8)))
+        x = np.random.default_rng(0).normal(size=(3, 8))
+        out = model.forward_batch(x[None])[0]
         np.testing.assert_array_equal(out, np.zeros((3, 4)))
 
     def test_kernel_one_trend_is_input(self):
         model = DLinearModel.init_random(b=6, h=3, kernel=1, seed=1)
         x = np.random.default_rng(2).normal(size=(2, 6))
-        out = forward(model, x)
+        out = model.forward_batch(x[None])[0]
         expected = x @ model.w_trend.T + model.b_trend + model.b_seasonal
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -67,7 +68,7 @@ class TestForward:
             seasonal = x[c] - trend
             expected[c] = (model.w_trend @ trend + model.b_trend
                            + model.w_seasonal @ seasonal + model.b_seasonal)
-        np.testing.assert_allclose(forward(model, x), expected, atol=1e-12)
+        np.testing.assert_allclose(model.forward_batch(x[None])[0], expected, atol=1e-12)
 
     def test_decomposition_identity(self):
         ma = moving_average_matrix(12, 25)
@@ -78,7 +79,7 @@ class TestForward:
     def test_shape_mismatch(self):
         model = DLinearModel(b=8, h=4)
         with pytest.raises(ValueError, match="look-back length"):
-            forward(model, np.zeros((2, 9)))
+            model.forward_batch(np.zeros((2, 9))[None])
 
 
 class TestGradients:
@@ -526,7 +527,7 @@ class TestEvaluate:
         m = evaluate(model, samples)
         total_sq, total_abs, count = 0.0, 0.0, 0
         for s in samples:
-            pred = forward(model, s.lookback)
+            pred = model.forward_batch(s.lookback[None])[0]
             for c in range(2):
                 for t in range(3):
                     err = pred[c, t] - s.horizon[c, t]
