@@ -62,7 +62,12 @@ def cmd_synth(args):
         trend_slope=args.trend, shift_at=args.shift_at,
         shift_delta=args.shift_delta, seed=args.seed,
     )
-    write_csv(generate(spec), args.out)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by flag
+        values = generate(spec)
+    if not np.isfinite(values).all():
+        raise ValueError("--length with --trend, --tones, --noise and --shift-delta "
+                         "give a series that is not finite; lower their scale")
+    write_csv(values, args.out)
     print(f"wrote {args.out}")
     return 0
 

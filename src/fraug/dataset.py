@@ -89,7 +89,10 @@ class WindowSample:
 def _check_rows(block, rownum, path, header, value_cols):
     """Raise ValueError naming the first row of the block, numbered from
     rownum, whose cell count differs from the header's or one of whose
-    value cells is not a finite number."""
+    value cells is not a finite number. A block in which no row fails
+    these checks raises too, naming its rows: it reaches here only
+    because the bulk parse rejected it."""
+    first = rownum
     for rownum, row in enumerate(block, start=rownum):
         if len(row) != len(header):
             raise ValueError(
@@ -103,6 +106,8 @@ def _check_rows(block, rownum, path, header, value_cols):
                 raise ValueError(f"{where}: cannot parse {row[i]!r} as a number") from None
             if not finite:
                 raise ValueError(f"{where}: {row[i]!r} is not a finite number")
+    raise ValueError(f"{path}: numpy rejected rows {first}-{rownum}, "
+                     f"but float() accepts each of their cells")
 
 
 def load_csv(path, date_column="date") -> TimeSeriesDataset:
@@ -138,7 +143,7 @@ def load_csv(path, date_column="date") -> TimeSeriesDataset:
                 stamps = cells[date_idx::width]
                 del cells[date_idx::width]
                 try:
-                    values = np.fromiter(map(float, cells), np.float64, len(cells))
+                    values = np.array(cells, dtype=np.float64)
                 except ValueError:
                     pass
             if values is None or not np.isfinite(values).all():

@@ -11,8 +11,9 @@ optional batch-wise augmentation: the configured batch is halved, every
 half-batch sample is augmented once, and the model trains on the
 doubled batch. Every window set is one dataset.Windows array: each
 step gathers its windows with one fancy index into it and passes views
-of that batch. Validation and test sets are scored block by block, so
-the memory scoring takes follows the block, not the set.
+of that batch. Validation and test sets are scored block by block
+through two buffers allocated once per pass, so the memory scoring
+takes follows the block, not the set.
 """
 
 import json
@@ -25,7 +26,7 @@ from .augment import AugmentSpec, apply_augment
 
 CHECKPOINT_MAGIC = "FRAUG-DLINEAR-v1"
 # Window-channel rows per scoring block: a block holds max(1, rows // C) windows.
-SCORE_BLOCK_ROWS = 1024
+SCORE_BLOCK_ROWS = 512
 
 
 def moving_average_matrix(b, kernel):
@@ -40,6 +41,13 @@ def moving_average_matrix(b, kernel):
     # adding 1/kernel at (t, src) for t, then j = 0..kernel-1.
     np.add.at(a, (rows, src), 1.0 / kernel)
     return a
+
+
+def _predict(rows, w, c, out=None):
+    """rows (m, b) -> rows @ w.T + c, (m, h), written into ``out`` if given."""
+    out = np.matmul(rows, w.T, out=out)
+    out += c
+    return out
 
 
 class _FlatParams(dict):
@@ -134,9 +142,7 @@ class DLinearModel:
 
     def forward_batch(self, lookback):
         """lookback (n, C, b) -> predictions (n, C, h)."""
-        w, c = self.effective_map()
-        pred = self._rows(lookback) @ w.T
-        pred += c
+        pred = _predict(self._rows(lookback), *self.effective_map())
         return pred.reshape(*lookback.shape[:-1], self.h)
 
     def save(self, path):
@@ -222,10 +228,8 @@ def loss_and_grads(model: DLinearModel, lookback, target):
     d w_seasonal = G - d w_trend.
     """
     x = model._rows(lookback)
-    w, c = model.effective_map()
     # In-place steps: fresh (rows, h) temporaries cost more than the arithmetic.
-    err = x @ w.T
-    err += c
+    err = _predict(x, *model.effective_map())
     err -= target.reshape(-1, model.h)
     # np.mean's sum and division without its wrapper; the square is a
     # temporary, so the arrays below can reuse its memory.
@@ -344,17 +348,29 @@ def train(model, train_samples, val_samples, cfg: TrainConfig,
 def _score(model, samples, with_mae=False):
     """(MSE, MAE or None) over a Windows set, SCORE_BLOCK_ROWS rows at a time.
 
-    Sums with np.add.reduce, as np.mean does, so a set that fits in one
-    block scores bit-identically to the mean over the whole set.
+    The effective map is formed once per call, and a look-back buffer
+    and a residual buffer are allocated once per call, at one block's
+    size: each block is copied into the first and predicted into the
+    second, so the loop allocates no block-sized array. For MAE the
+    residual is made absolute in place before it is squared, since
+    |e| * |e| rounds exactly as e * e. Sums with np.add.reduce, as
+    np.mean does, so a set that fits in one block scores bit-identically
+    to the mean over the whole set.
     """
     n, c = samples.lookback.shape[:2]
-    step = max(1, SCORE_BLOCK_ROWS // c)
+    k = min(max(1, SCORE_BLOCK_ROWS // c), n)
+    w, bias = model.effective_map()
+    look = np.empty((k,) + samples.lookback.shape[1:])
+    res = np.empty((k, c, model.h))
     sq = ab = 0.0
-    for lo in range(0, n, step):
-        err = model.forward_batch(samples.lookback[lo:lo + step])
-        err -= samples.horizon[lo:lo + step]
+    for lo in range(0, n, k):
+        m = min(k, n - lo)
+        np.copyto(look[:m], samples.lookback[lo:lo + m])
+        err = res[:m]
+        _predict(model._rows(look[:m]), w, bias, out=err.reshape(-1, model.h))
+        err -= samples.horizon[lo:lo + m]
         if with_mae:
-            ab += np.add.reduce(np.abs(err), axis=None)
+            ab += np.add.reduce(np.abs(err, out=err), axis=None)
         err *= err
         sq += np.add.reduce(err, axis=None)
     size = n * c * model.h

@@ -83,6 +83,17 @@ class TestSynth:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [["--length", "10", "--trend", "1e308"],
+                                      ["--tones", "24:1e308,24:1e308"]])
+    def test_overflowing_series_rejected_before_writing(self, tmp_path, capsys, args):
+        out = tmp_path / "series.csv"
+        assert run_cli("synth", "--out", str(out), *args) == 1
+        err = capsys.readouterr().err
+        assert "not finite" in err
+        assert all(flag in err for flag in ("--length", "--trend", "--tones", "--noise",
+                                            "--shift-delta"))
+        assert not out.exists()
+
     def test_edge_flags_accepted(self, tmp_path):
         out = tmp_path / "series.csv"
         assert run_cli("synth", "--out", str(out), "--length", "1", "--channels", "1",

@@ -82,13 +82,22 @@ def test_write_csv_bytes_match_csv_writer(tmp_path, channels):
     assert data.count(b"\r\n") == 51
 
 
+# Cells that float() reads, and the value it reads from each; load_csv's
+# bulk parse must read them the same.
+AWKWARD_CELLS = [("1_000", 1000.0), (" 1.5 ", 1.5), ("  -0.0", -0.0),
+                 ("\u0661\u0662", 12.0), ("1e-400", 0.0), ("+3", 3.0)]
+
+
 @pytest.mark.parametrize("header,line_end", [("date,ch0,ch1,ch2", "\r\n"),
                                              ("ch0,date,ch1,ch2", "\n")])
 def test_load_csv_reads_awkward_values_bit_for_bit(tmp_path, header, line_end):
     values = _awkward_values()
+    texts = [[repr(v) for v in row] for row in values.T.tolist()]
+    for i, (text, value) in enumerate(AWKWARD_CELLS):
+        texts[4 + i][i % 3] = text
+        values[i % 3, 4 + i] = value
     rows = []
-    for i, row in enumerate(values.T.tolist()):
-        cells = [repr(v) for v in row]
+    for i, cells in enumerate(texts):
         cells.insert(header.split(",").index("date"), f"t{i}")
         rows.append(",".join(cells))
     p = tmp_path / "d.csv"
@@ -125,12 +134,23 @@ def test_quoted_csv_reads_like_plain(tmp_path):
     ("date,a,b\nt0,1.0,inf\n", "row 2, column 'b': 'inf' is not a finite number"),
     ('date,a,b\nt0,"1.0",4.0\nt1,2.0,-inf\n',
      "row 3, column 'b': '-inf' is not a finite number"),
+    ("date,a,b\nt0,1.0,infinity\n", "row 2, column 'b': 'infinity' is not a finite number"),
+    ("date,a,b\nt0,1e500,4.0\n", "row 2, column 'a': '1e500' is not a finite number"),
+    ("date,a,b\nt0,0x10,4.0\n", "row 2, column 'a': cannot parse '0x10' as a number"),
 ])
 def test_malformed_csv_messages(tmp_path, text, message):
     p = tmp_path / "d.csv"
     p.write_bytes(text.encode())
     with pytest.raises(ValueError, match=re.escape(f"{p}: {message}") + "$"):
         load_csv(p)
+
+
+def test_block_without_a_bad_row_still_raises():
+    # A block reaches _check_rows only when the bulk parse rejected it; if
+    # no row fails on its own, it must still raise, not return.
+    with pytest.raises(ValueError, match=r"^d\.csv: numpy rejected rows 2-3, but float\(\) "
+                                         r"accepts each of their cells$"):
+        dataset._check_rows([["t0", "1.0"], ["t1", "2.0"]], 2, "d.csv", ["date", "a"], [1])
 
 
 @pytest.mark.parametrize("length", [48, 49, 50])

@@ -612,6 +612,41 @@ class TestBlockScoring:
             tracemalloc.stop()
         assert peak < samples.horizon.nbytes
 
+    def test_evaluate_peak_within_two_half_size_blocks(self):
+        # Two 512-row float64 blocks at b = h = 96 (the look-back and
+        # residual buffers: 2 * 512 * 96 * 8 = 786,432 B) plus the effective
+        # map and numpy's 64 KiB iteration buffer. Pinned in bytes: 1024-row
+        # temporaries allocated per block peak near 2.4 MB.
+        samples = self._large_set()
+        model = DLinearModel.init_random(b=96, h=96, seed=0)
+        tracemalloc.start()
+        try:
+            evaluate(model, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
+
+    def test_one_effective_map_per_pass(self, monkeypatch):
+        samples = self._large_set()
+        model = DLinearModel.init_random(b=96, h=96, seed=0)
+        step = self._sizes(7)[0]
+        assert len(samples) > 2 * step  # several blocks
+        calls = []
+        effective_map = model.effective_map
+
+        def spy():
+            calls.append(1)
+            return effective_map()
+
+        monkeypatch.setattr(model, "effective_map", spy)
+        fc._score(model, samples, with_mae=True)
+        assert len(calls) == 1
+        # forward_batch and _score predict through one routine, so a set
+        # that fits one block scores exactly as the whole-set mean.
+        m = evaluate(model, samples[:step])
+        assert (m.mse, m.mae) == whole_set_scores(model, samples[:step])
+
     def test_train_peak_below_one_validation_error_array(self):
         val_set = self._large_set()
         train_set = random_windows(8, 7, 96, 96, seed=3)
