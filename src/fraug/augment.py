@@ -2,11 +2,11 @@
 
 Every operator maps that array to a new one of the same shape.
 Frequency-domain operators (masking, the keep-dominant variant, mixing,
-and their composition) transform the whole window, so the data-label
-pair stays consistent. Time-domain baselines (noise, masking, flipping,
-warping), distance-weighted averaging (ASD), and residual block
-bootstrap (MBB) are included for comparison. apply_augment alone turns
-a dataset.WindowSample into that array and the result back.
+and their composition) draw one mask per window and transform all of
+it, so the data-label pair stays consistent. Time-domain baselines,
+ASD averaging and MBB (one block draw per window) are for comparison.
+apply_augment alone turns a dataset.WindowSample into that array and
+the result back.
 """
 
 from dataclasses import dataclass
@@ -45,27 +45,21 @@ class AugmentSpec:
             raise ValueError(f"mix rate must be <= 0.5, got {self.rate}")
 
 
-def create_random_mask(length, mu, rng):
-    """Boolean keep-mask over spectrum bins; each bin masked w.p. mu."""
-    if length < 1:
-        raise ValueError("mask length must be >= 1")
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"rate must be in [0, 1], got {mu}")
-    return rng.random(length) >= mu
-
-
 def freq_mask(x, mu, rng, keep_top=0):
     """Zero a random mu-fraction of spectrum bins of a (C, L) window.
 
-    One mask is drawn per window and every channel uses it. keep_top
-    > 0 protects that many largest-amplitude bins per channel from
-    masking (the keep-dominant variant).
+    One keep-mask, each bin masked with probability mu, is drawn per
+    window and every channel uses it. keep_top > 0 protects that many
+    largest-amplitude bins per channel from masking (the keep-dominant
+    variant).
     """
     if keep_top < 0:
         raise ValueError("keep_top must be >= 0")
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError(f"rate must be in [0, 1], got {mu}")
     c, n = x.shape
     n_bins = n // 2 + 1
-    keep = create_random_mask(n_bins, mu, rng)
+    keep = rng.random(n_bins) >= mu
     bins = rfft_bins(x)
     if keep_top > 0:
         # Dominant bins are exempt per channel, so each channel gets its own row.
@@ -86,10 +80,10 @@ def freq_mix(x1, x2, mu, rng):
     """
     if x1.shape != x2.shape:
         raise ValueError(f"incompatible samples: {x1.shape} vs {x2.shape}")
-    if mu > 0.5:
-        raise ValueError(f"mix rate must be <= 0.5, got {mu}")
+    if not 0.0 <= mu <= 0.5:
+        raise ValueError(f"mix rate must be in [0, 0.5], got {mu}")
     n = x1.shape[1]
-    keep = create_random_mask(n // 2 + 1, mu, rng)
+    keep = rng.random(n // 2 + 1) >= mu
     mixed = np.where(keep, rfft_bins(x1), rfft_bins(x2))
     return irfft_signal(mixed, n)
 
@@ -216,40 +210,26 @@ def decompose(series, period):
     return trend, seasonal, residual
 
 
-def _block_bootstrap(residual, block_len, rng):
-    n = len(residual)
-    if not 1 <= block_len <= n:
-        raise ValueError(f"block length {block_len} out of range [1, {n}]")
-    n_starts = n - block_len + 1
-    pieces = []
-    total = 0
-    while total < n:
-        start = int(rng.integers(0, n_starts))
-        pieces.append(residual[start: start + block_len])
-        total += block_len
-    return np.concatenate(pieces)[:n]
-
-
-def mbb_augment(x, period, rng, block_len=None, return_components=False):
+def mbb_augment(x, period, rng, return_components=False):
     """Moving-block-bootstrap the residual of each channel of a (C, L) window.
 
     Trend and seasonal components are untouched; only the residual is
-    replaced by a resample of overlapping blocks. With
-    return_components, also returns per-channel (trend, seasonal,
-    original residual, resampled residual).
+    replaced by ceil(L / B) overlapping blocks of B = max(2, L // 10)
+    columns, cut to L. Every block start of the window is drawn in one
+    rng.integers call, channel by channel. With return_components, also
+    returns per-channel (trend, seasonal, original residual, resampled
+    residual).
     """
-    if block_len is None:
-        block_len = max(2, x.shape[1] // 10)
-    out = np.empty_like(x)
-    components = []
-    for ch in range(len(x)):
-        trend, seasonal, residual = decompose(x[ch], period)
-        boot = _block_bootstrap(residual, block_len, rng)
-        out[ch] = trend + seasonal + boot
-        if return_components:
-            components.append((trend, seasonal, residual, boot))
+    c, n = x.shape
+    block = max(2, n // 10)
+    trend, seasonal, residual = np.array(
+        [decompose(row, period) for row in x]).reshape(c, 3, n).transpose(1, 0, 2)
+    starts = rng.integers(0, n - block + 1, size=(c, -(-n // block)))
+    cols = (starts[:, :, None] + np.arange(block)).reshape(c, -1)[:, :n]
+    boot = np.take_along_axis(residual, cols, axis=1)
+    out = trend + seasonal + boot
     if return_components:
-        return out, components
+        return out, list(zip(trend, seasonal, residual, boot))
     return out
 
 

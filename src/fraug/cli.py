@@ -5,8 +5,9 @@ augmentation of a series file), spectrum (amplitude-spectrum dump),
 train (fit one model, save a checkpoint), run (config-driven protocol
 dispatch). Every `run` that completes writes a manifest.json with the
 fully resolved configuration and the environment it ran in (argv, the
-python, numpy and BLAS versions, the git sha), next to its report, so
-the run is reproducible.
+python, numpy and BLAS versions, the git sha), next to the files its
+report writes, so the run is reproducible. augment keeps the input's
+date column name, channel names and date cells.
 """
 
 import argparse
@@ -101,7 +102,7 @@ def cmd_augment(args):
         # Self-mix with a shifted copy: roll the series by a quarter.
         partner = WindowSample.split(np.roll(ds.values, ds.length // 4, axis=1), b)
     out = apply_augment(sample, spec, rng, partner=partner)
-    write_csv(out.concat(), args.out)
+    write_csv(out.concat(), args.out, [args.date_column] + ds.channel_names, ds.timestamps)
     print(f"wrote {args.out}")
     if args.dump_spectrum:
         _dump_spectrum(ds.values, out.concat(), ds.channel_names, args.dump_spectrum)
@@ -309,8 +310,7 @@ def cmd_run(args):
     manifest = {"config": config, "version": __version__,
                 "environment": _environment(args.argv)}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    (out_dir / "report.json").write_text(report.to_json())
-    _write_traces(report, out_dir)
+    report.write(out_dir)
     for line in report.summary_lines():
         print(line)
     return 0
@@ -332,23 +332,6 @@ def _environment(argv):
         sha = None
     return {"argv": argv, "python": platform.python_version(),
             "numpy": np.__version__, "blas": blas, "git_sha": sha}
-
-
-def _write_traces(report, out_dir):
-    with open(out_dir / "trace.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "h", "seed", "epoch", "train_loss", "val_loss"])
-        for cell in report.cells:
-            for epoch, (tr, va) in enumerate(zip(cell.extra.get("train_loss", []),
-                                                 cell.extra.get("val_loss", []))):
-                writer.writerow([cell.kind, cell.h, cell.seed, epoch, tr, va])
-    if report.protocol == "ttt":
-        with open(out_dir / "ttt_parts.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["kind", "h", "seed", "part", "test_mse"])
-            for cell in report.cells:
-                for part, loss in enumerate(cell.extra.get("part_losses", []), start=1):
-                    writer.writerow([cell.kind, cell.h, cell.seed, part, loss])
 
 
 def build_parser():

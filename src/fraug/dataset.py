@@ -43,10 +43,6 @@ class TimeSeriesDataset:
     split_bounds: tuple | None = None
 
     @property
-    def n_channels(self):
-        return self.values.shape[0]
-
-    @property
     def length(self):
         return self.values.shape[1]
 
@@ -70,11 +66,6 @@ class WindowSample:
     lookback: np.ndarray
     horizon: np.ndarray
     start_index: int = 0
-
-    @property
-    def shape(self):
-        c, b = self.lookback.shape
-        return c, b, self.horizon.shape[1]
 
     def concat(self):
         """(C, b+h) concatenation of look-back and horizon."""

@@ -2,14 +2,18 @@
 
 Every protocol trains a no-augmentation control under the same seeds and
 schedule as each augmented run, so improvement ratios are always
-well-defined. Results are collected into an ExperimentReport that can be
-serialized to JSON and flat CSV traces.
+well-defined. Each runner makes its ExperimentReport with
+ExperimentReport.start and records every cell through its add method;
+the report writes itself as report.json plus the flat CSV traces
+trace.csv and, for ttt, ttt_parts.csv.
 """
 
+import csv
 import json
 import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +40,8 @@ class CellResult:
 
 @dataclass
 class ExperimentReport:
+    """The cells of one protocol run; wall_clock_s runs from construction to the latest add."""
+
     protocol: str
     dataset_id: str
     b: int
@@ -48,6 +54,24 @@ class ExperimentReport:
     rate_val_mse: dict = field(default_factory=dict)
     wall_clock_s: float = 0.0
 
+    def __post_init__(self):
+        self._t0 = time.perf_counter()
+
+    @classmethod
+    def start(cls, protocol, dataset_id, b, horizons, kinds, seeds):
+        """An empty report whose kinds begin with the "none" control; empty seeds raise."""
+        if not seeds:
+            raise ValueError(f"seeds must be non-empty, got {seeds!r}")
+        return cls(protocol=protocol, dataset_id=dataset_id, b=b, horizons=list(horizons),
+                   kinds=["none"] + [k for k in kinds if k != "none"], seeds=list(seeds))
+
+    def add(self, kind, h, seed, rate, mse, mae, **extra):
+        """Append one cell and set chosen_rates[f"{kind}/{h}"]; "none" records rate 0.0."""
+        rate = 0.0 if kind == "none" else rate
+        self.chosen_rates[f"{kind}/{h}"] = rate
+        self.cells.append(CellResult(kind, h, seed, rate, mse, mae, extra))
+        self.wall_clock_s = time.perf_counter() - self._t0
+
     def median_mse(self, kind, h):
         vals = [c.mse for c in self.cells if c.kind == kind and c.h == h]
         if not vals:
@@ -56,6 +80,23 @@ class ExperimentReport:
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2, default=_jsonable, allow_nan=False)
+
+    def write(self, out_dir):
+        """Write report.json, trace.csv (the per-epoch losses of the cells that
+        record them) and, for ttt, ttt_parts.csv (each round's test MSE)."""
+        out_dir = Path(out_dir)
+        (out_dir / "report.json").write_text(self.to_json())
+        tables = [("trace.csv", "epoch", 0, ["train_loss", "val_loss"],
+                   ["train_loss", "val_loss"])]
+        if self.protocol == "ttt":
+            tables.append(("ttt_parts.csv", "part", 1, ["test_mse"], ["part_losses"]))
+        for name, index, first, columns, keys in tables:
+            with open(out_dir / name, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["kind", "h", "seed", index, *columns])
+                for c in self.cells:
+                    series = enumerate(zip(*(c.extra.get(k, []) for k in keys)), first)
+                    writer.writerows([c.kind, c.h, c.seed, i, *v] for i, v in series)
 
     def summary_lines(self):
         lines = [f"protocol={self.protocol} dataset={self.dataset_id} b={self.b}"]
@@ -117,37 +158,24 @@ def run_longterm(ds, horizons, kinds, b=96, cfg=None, seeds=(0,),
     a grid search on the validation split under the first seed picks the
     rate, and its winning fit is that seed's cell; else fixed_rate is used.
     """
-    if not seeds:
-        raise ValueError(f"seeds must be non-empty, got {seeds!r}")
-    t0 = time.perf_counter()
-    kinds = ["none"] + [k for k in kinds if k != "none"]
-    report = ExperimentReport(
-        protocol="longterm", dataset_id=dataset_id, b=b,
-        horizons=list(horizons), kinds=kinds, seeds=list(seeds),
-    )
+    report = ExperimentReport.start("longterm", dataset_id, b, horizons, kinds, seeds)
     for h in horizons:
         train_samples = make_windows(ds, "train", b, h)
         val_samples = make_windows(ds, "val", b, h)
         test_samples = make_windows(ds, "test", b, h)
-        for kind in kinds:
-            rate, fit = (0.0 if kind == "none" else fixed_rate), None
+        for kind in report.kinds:
+            rate, fit = fixed_rate, None
             if kind != "none" and select_rates:
                 rate, per_rate, fit = cross_validate_rate(ds, b, h, kind, grid=rate_grid,
                                                           cfg=cfg, seed=seeds[0])
                 report.rate_val_mse[f"{kind}/{h}"] = {r: m.mse for r, m in per_rate.items()}
-            report.chosen_rates[f"{kind}/{h}"] = rate
             aug = None if kind == "none" else AugmentSpec(kind=kind, rate=rate)
             for i, seed in enumerate(seeds):
                 model, trace = (fit if i == 0 and fit is not None else
                                 _fit(b, h, train_samples, val_samples, cfg, seed, aug))
                 m = evaluate(model, test_samples)
-                report.cells.append(CellResult(
-                    kind=kind, h=h, seed=seed, rate=rate, mse=m.mse, mae=m.mae,
-                    extra={"train_loss": trace.train_loss,
-                           "val_loss": trace.val_loss,
-                           "best_epoch": trace.best_epoch},
-                ))
-    report.wall_clock_s = time.perf_counter() - t0
+                report.add(kind, h, seed, rate, m.mse, m.mae, train_loss=trace.train_loss,
+                           val_loss=trace.val_loss, best_epoch=trace.best_epoch)
     return report
 
 
@@ -160,23 +188,16 @@ def run_coldstart(ds, h, kinds, b=96, fraction=0.01, factors=(2, 50),
     test split. Each (kind, seed) is expanded once, at the largest
     factor, from default_rng(seed); each factor trains on its prefix.
     """
-    if not seeds:
-        raise ValueError(f"seeds must be non-empty, got {seeds!r}")
+    report = ExperimentReport.start("coldstart", dataset_id, b, [h], kinds, seeds)
     # Bools are not counts here, as in fraug run's config check.
     if not factors or any(isinstance(f, bool) or not isinstance(f, numbers.Integral)
                           or f < 1 for f in factors):
         raise ValueError(f"factors must be non-empty integers, each >= 1, got {factors!r}")
-    t0 = time.perf_counter()
-    kinds = ["none"] + [k for k in kinds if k != "none"]
     all_train = make_windows(ds, "train", b, h)
     train_small = take_last_fraction(all_train, fraction)
     val_samples = make_windows(ds, "val", b, h)
     test_samples = make_windows(ds, "test", b, h)
-    report = ExperimentReport(
-        protocol="coldstart", dataset_id=dataset_id, b=b,
-        horizons=[h], kinds=kinds, seeds=list(seeds),
-    )
-    for kind in kinds:
+    for kind in report.kinds:
         spec = AugmentSpec(kind=kind, rate=rate)
         for seed in seeds:
             expanded = train_small if kind == "none" else expand_dataset(
@@ -189,14 +210,8 @@ def run_coldstart(ds, h, kinds, b=96, fraction=0.01, factors=(2, 50),
                 if best is None or val.mse < best[0]:
                     best = (val.mse, factor, evaluate(model, test_samples))
             _, factor, test = best
-            report.chosen_rates[f"{kind}/{h}"] = rate if kind != "none" else 0.0
-            report.cells.append(CellResult(
-                kind=kind, h=h, seed=seed,
-                rate=rate if kind != "none" else 0.0,
-                mse=test.mse, mae=test.mae,
-                extra={"factor": factor, "n_train": len(train_small)},
-            ))
-    report.wall_clock_s = time.perf_counter() - t0
+            report.add(kind, h, seed, rate, test.mse, test.mae,
+                       factor=factor, n_train=len(train_small))
     return report
 
 
@@ -263,16 +278,9 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
     """
     if parts < 2:
         raise ValueError(f"parts must be >= 2, got {parts}")
-    if not seeds:
-        raise ValueError(f"seeds must be non-empty, got {seeds!r}")
-    t0 = time.perf_counter()
-    kinds = ["none"] + [k for k in kinds if k != "none"]
+    report = ExperimentReport.start("ttt", dataset_id, b, [h], kinds, seeds)
     bounds = _part_bounds(ds.length, parts)
-    report = ExperimentReport(
-        protocol="ttt", dataset_id=dataset_id, b=b,
-        horizons=[h], kinds=kinds, seeds=list(seeds),
-    )
-    for kind in kinds:
+    for kind in report.kinds:
         for seed in seeds:
             part_losses, part_maes = [], []
             for i in range(1, parts):
@@ -282,28 +290,17 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
                     raise ValueError(f"part {i - 1}: span too short for windows")
                 if not test_samples:
                     raise ValueError(f"part {i}: span too short for windows")
-                if kind != "none":
-                    spec = AugmentSpec(kind=kind, rate=rate)
-                    rng = np.random.default_rng((seed, i))
-                    train_set = _ttt_train_set(train_samples, bounds[:i], spec, rng)
-                else:
-                    train_set = train_samples
-                n_val = max(1, len(train_samples) // 10)
-                val_samples = train_samples[-n_val:]
+                train_set = train_samples if kind == "none" else _ttt_train_set(
+                    train_samples, bounds[:i], AugmentSpec(kind=kind, rate=rate),
+                    np.random.default_rng((seed, i)))
+                val_samples = train_samples[-max(1, len(train_samples) // 10):]
                 model, _ = _fit(b, h, train_set, val_samples, cfg, seed)
                 m = evaluate(model, test_samples)
                 part_losses.append(m.mse)
                 part_maes.append(m.mae)
-            report.chosen_rates[f"{kind}/{h}"] = rate if kind != "none" else 0.0
-            report.cells.append(CellResult(
-                kind=kind, h=h, seed=seed,
-                rate=rate if kind != "none" else 0.0,
-                mse=float(np.mean(part_losses)),
-                mae=float(np.mean(part_maes)),
-                extra={"part_losses": part_losses, "part_maes": part_maes,
-                       "copy_schedule": ttt_copy_schedule(parts - 1),
-                       "val_in_sample": True},
-            ))
-    report.wall_clock_s = time.perf_counter() - t0
+            report.add(kind, h, seed, rate, float(np.mean(part_losses)),
+                       float(np.mean(part_maes)), part_losses=part_losses,
+                       part_maes=part_maes, copy_schedule=ttt_copy_schedule(parts - 1),
+                       val_in_sample=True)
     return report
 

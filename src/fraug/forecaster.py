@@ -74,8 +74,9 @@ class DLinearModel:
     """DLinear forecaster; the four parameters are views of one flat vector.
 
     Arrays passed in are copied into that vector. Write to a parameter in
-    place (``model.w_trend[...] = w`` or ``set_params``); rebinding the
-    attribute detaches it from the vector that training updates.
+    place (``model.w_trend[...] = w`` or ``model.params().flat[...] = v``);
+    rebinding the attribute detaches it from the vector that training
+    updates.
     """
 
     b: int
@@ -114,13 +115,6 @@ class DLinearModel:
     def params(self):
         """{name: array} of the parameters, views of the flat vector ``params().flat``."""
         return self._params
-
-    def copy_params(self):
-        return {k: v.copy() for k, v in self.params().items()}
-
-    def set_params(self, params):
-        for k, v in params.items():
-            getattr(self, k)[...] = v
 
     def effective_map(self):
         """(W, c) such that the two heads' summed prediction is lookback @ W.T + c.
@@ -295,9 +289,10 @@ def train(model, train_samples, val_samples, cfg: TrainConfig,
         raise ValueError("train and validation sets must be non-empty")
     augmenting = aug is not None and aug.kind != "none"
     rng = np.random.default_rng(cfg.seed)
-    opt = _Adam(model.params().flat, cfg.learning_rate)
+    params = model.params().flat
+    opt = _Adam(params, cfg.learning_rate)
     trace = TrainingTrace()
-    best = model.copy_params()
+    best = params.copy()
     best_val = np.inf
     bad_epochs = 0
     step_size = cfg.batch_size // 2 if augmenting else cfg.batch_size
@@ -334,14 +329,14 @@ def train(model, train_samples, val_samples, cfg: TrainConfig,
         trace.val_loss.append(val_loss)
         if val_loss < best_val:
             best_val = val_loss
-            best = model.copy_params()
+            best = params.copy()
             trace.best_epoch = epoch
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
                 break
-    model.set_params(best)
+    params[...] = best
     return model, trace
 
 

@@ -1,10 +1,15 @@
-"""Deterministic synthetic series generation in the ETT column layout."""
+"""Deterministic synthetic series, and write_csv for any (C, T) array, in the ETT layout."""
 
+import csv
+import io
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dataset
+
+_QUOTED = re.compile('[,"\r\n]')  # a cell holding one of these is quoted by csv.writer
 
 
 @dataclass
@@ -46,21 +51,37 @@ def generate(spec: SynthSpec):
     return out
 
 
-def write_csv(values, path):
-    """Write a (C, T) array as an ETT-convention CSV (date + channels).
+def write_csv(values, path, names=None, dates=None):
+    """Write a (C, T) array as an ETT-convention CSV: a date column, then the channels.
 
-    The bytes are those csv.writer writes: no cell needs quoting, each
-    value is repr(float), and each line ends in CRLF. Rows are
-    formatted and written dataset.CSV_BLOCK_ROWS at a time, so one
-    block's text is alive at a time, not the file's.
+    names is the header, date column first (default date, ch0, ...), and
+    dates the T date cells (default t000000, ...). The bytes are those
+    csv.writer writes: each value is repr(float) and each line ends in
+    CRLF. Rows are written dataset.CSV_BLOCK_ROWS at a time, so one
+    block's text is alive at a time, not the file's; a block with a date
+    to quote, or with no channels, goes through csv.writer itself.
     """
     c, t = values.shape
-    sep = "," if c else ""
     values = np.asarray(values, dtype=np.float64)
+    names = ["date"] + [f"ch{i}" for i in range(c)] if names is None else names
+    if len(names) != c + 1 or (dates is not None and len(dates) != t):
+        raise ValueError(f"{c} channels of {t} rows need {c + 1} names and {t} dates")
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(["date"] + [f"ch{i}" for i in range(c)]) + "\r\n")
+        fh.write(_csv_text([names]))
         step = dataset.CSV_BLOCK_ROWS
         for lo in range(0, t, step):
-            # The block's float lists die with the comprehension, before the join.
-            fh.write("".join([f"t{i:06d}{sep}{','.join(map(repr, row))}\r\n" for i, row
-                              in enumerate(values[:, lo:lo + step].T.tolist(), lo)]))
+            stamps = ([f"t{i:06d}" for i in range(lo, min(lo + step, t))] if dates is None
+                      else dates[lo:lo + step])
+            # The block's float lists are freed as the zip runs out, before the join.
+            rows = zip(values[:, lo:lo + step].T.tolist(), stamps)
+            if c and not _QUOTED.search("".join(stamps)):
+                fh.write("".join([f"{d},{','.join(map(repr, row))}\r\n" for row, d in rows]))
+            else:
+                fh.write(_csv_text([d, *row] for row, d in rows))
+
+
+def _csv_text(rows):
+    """csv.writer's text for rows; a writer that has written keeps a 128 KiB buffer."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()

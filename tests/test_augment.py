@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from fraug import augment
 from fraug.augment import (ALL_KINDS, KEEP_TOP, AugmentSpec, apply_augment,
-                           asd_augment, baseline_augment, create_random_mask,
-                           decompose, dtw_distance, expand_dataset, freq_mask,
-                           freq_mix, mbb_augment)
+                           asd_augment, baseline_augment, decompose, dtw_distance,
+                           expand_dataset, freq_mask, freq_mix, mbb_augment)
 from fraug.dataset import Windows, span_windows
-from fraug.spectral import rfft
+from fraug.spectral import rfft, rfft_bins
 
 from conftest import (assert_windows_equal, dtw_brute, make_sample, random_windows,
                       tone_sample)
@@ -34,21 +33,39 @@ def assert_samples_close(a, b, atol=1e-9):
     np.testing.assert_allclose(a.horizon, b.horizon, atol=atol)
 
 
+def impulse_keep_mask(n_bins, mu, rng):
+    """freq_mask's keep-mask over n_bins bins, read from the spectrum of a
+    masked unit impulse, whose every bin is 1."""
+    x = np.zeros((1, 2 * n_bins - 2))
+    x[0, 0] = 1.0
+    return np.abs(rfft_bins(freq_mask(x, mu, rng))[0]) > 0.5
+
+
 class TestRandomMask:
     def test_rate_zero_keeps_all(self):
         rng = np.random.default_rng(0)
-        assert create_random_mask(50, 0.0, rng).all()
+        assert impulse_keep_mask(50, 0.0, rng).all()
 
     def test_rate_one_masks_all(self):
         rng = np.random.default_rng(0)
-        assert not create_random_mask(50, 1.0, rng).any()
+        assert not impulse_keep_mask(50, 1.0, rng).any()
 
     def test_masked_fraction_concentrates(self):
         # Binomial(10000, 0.3): P(|frac - 0.3| >= 0.02) < 1e-2.
         rng = np.random.default_rng(42)
-        keep = create_random_mask(10000, 0.3, rng)
+        keep = impulse_keep_mask(10000, 0.3, rng)
+        assert len(keep) == 10000
         frac = 1.0 - keep.mean()
         assert 0.28 < frac < 0.32
+
+    @pytest.mark.parametrize("op,mu,message", [
+        (freq_mask, -0.1, "rate must be in"), (freq_mask, 1.1, "rate must be in"),
+        (freq_mix, -0.1, "mix rate must be in"), (freq_mix, 0.6, "mix rate must be in"),
+    ])
+    def test_rate_out_of_range_rejected(self, op, mu, message):
+        args = (window(),) if op is freq_mask else (window(), window())
+        with pytest.raises(ValueError, match=message):
+            op(*args, mu, np.random.default_rng(0))
 
 
 class TestFreqMask:
@@ -105,7 +122,8 @@ class TestFreqMask:
         sample = tone_sample(1, 24, 12, 3)
         out = apply_augment(sample, AugmentSpec(kind="freq_mask", rate=1.0),
                             np.random.default_rng(0))
-        assert out.shape == sample.shape
+        assert out.lookback.shape == sample.lookback.shape
+        assert out.horizon.shape == sample.horizon.shape
         assert np.max(np.abs(out.lookback)) < 1e-9
         assert np.max(np.abs(out.horizon)) < 1e-9
 
@@ -345,10 +363,19 @@ class TestMbb:
         out = mbb_augment(const, 8, np.random.default_rng(0))
         np.testing.assert_allclose(out, const, atol=1e-9)
 
-    def test_full_length_block_identity(self):
-        x = window(c=1, b=32, h=16, seed=1)
-        out = mbb_augment(x, 8, np.random.default_rng(0), block_len=48)
-        np.testing.assert_allclose(out, x, atol=1e-9)
+    @pytest.mark.parametrize("c,n,period,seed", [
+        (1, 48, 8, 0), (3, 61, 10, 1), (7, 192, 24, 2), (2, 20, 10, 3), (4, 99, 2, 4),
+    ])
+    def test_matches_per_channel_block_loop(self, c, n, period, seed):
+        x = np.random.default_rng(seed).normal(size=(c, n))
+        rng, ref_rng = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+        out, comps = mbb_augment(x, period, rng, return_components=True)
+        ref = reference_mbb(x, period, ref_rng)
+        np.testing.assert_array_equal(out, ref[0])
+        for got, want in zip(comps, ref[1]):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+        assert rng.random() == ref_rng.random()  # the same number of draws
 
     def test_components_untouched(self):
         x = window(c=2, b=40, h=20, seed=2)
@@ -358,6 +385,25 @@ class TestMbb:
             np.testing.assert_array_equal(trend, t2)
             np.testing.assert_array_equal(seasonal, s2)
             np.testing.assert_array_equal(out[ch], trend + seasonal + boot)
+
+
+def reference_mbb(x, period, rng):
+    """mbb_augment as first written: per channel, one rng.integers draw per
+    block of max(2, L // 10) columns. (out, components)."""
+    block_len = max(2, x.shape[1] // 10)
+    out, components = np.empty_like(x), []
+    for ch in range(len(x)):
+        trend, seasonal, residual = decompose(x[ch], period)
+        n = len(residual)
+        pieces, total = [], 0
+        while total < n:
+            start = int(rng.integers(0, n - block_len + 1))
+            pieces.append(residual[start: start + block_len])
+            total += block_len
+        boot = np.concatenate(pieces)[:n]
+        out[ch] = trend + seasonal + boot
+        components.append((trend, seasonal, residual, boot))
+    return out, components
 
 
 def originals(samples):
@@ -580,3 +626,41 @@ def test_window_sample_named_only_at_the_boundary():
     assert not {name: uses for name, uses in found.items()
                 if uses and name not in allowed}
     assert set(found["augment.py"]) == {None, "apply_augment"}
+
+
+def report_path_uses(source):
+    """(classes around each CellResult(...) call, string constants naming
+    trace.csv or ttt_parts.csv) of one source file."""
+    calls, names = [], []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "CellResult":
+                    calls.append(cls)
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                names.extend(f for f in ("trace.csv", "ttt_parts.csv") if f in child.value)
+            visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    visit(ast.parse(source), None)
+    return calls, names
+
+
+@pytest.mark.parametrize("source,calls,names", [
+    ("def f():\n    return CellResult('none', 1, 0, 0.0, 1.0, 1.0)", [None], []),
+    ("class R:\n    def add(self):\n        experiments.CellResult()", ["R"], []),
+    ("open(out / 'trace.csv')\n'''writes ttt_parts.csv'''", [], ["trace.csv", "ttt_parts.csv"]),
+])
+def test_report_path_detector_flags(source, calls, names):
+    assert report_path_uses(source) == (calls, names)
+
+
+def test_cells_and_trace_files_made_only_by_the_report():
+    """Every protocol records its cells through ExperimentReport, and the
+    trace files are named only in experiments, which fills each cell's extra."""
+    paths = sorted(Path(augment.__file__).parent.glob("*.py"))
+    found = {p.name: report_path_uses(p.read_text()) for p in paths}
+    assert {name: set(calls) for name, (calls, _) in found.items() if calls} == {
+        "experiments.py": {"ExperimentReport"}}
+    assert {name for name, (_, names) in found.items() if names} == {"experiments.py"}

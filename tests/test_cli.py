@@ -46,7 +46,7 @@ class TestSynth:
     def test_writes_loadable_csv(self, tmp_path):
         path = make_series(tmp_path)
         ds = load_csv(path)
-        assert ds.n_channels == 2 and ds.length == 400
+        assert ds.values.shape[0] == 2 and ds.length == 400
 
     def test_deterministic_bytes(self, tmp_path):
         a = make_series(tmp_path, "a.csv")
@@ -113,6 +113,27 @@ class TestAugment:
         orig = load_csv(src)
         assert aug.values.shape == orig.values.shape
         assert not np.array_equal(aug.values, orig.values)
+        assert aug.channel_names == ["ch0", "ch1"]
+        assert aug.timestamps == orig.timestamps == [f"t{i:06d}" for i in range(400)]
+
+    def test_keeps_header_and_dates(self, tmp_path):
+        # The date column in the middle, a name and a date holding a comma.
+        src, out = tmp_path / "in.csv", tmp_path / "aug.csv"
+        values = np.random.default_rng(1).normal(size=(2, 120))
+        dates = [f"2016-07-01 {i // 60:02d}:{i % 60:02d}:00" for i in range(120)]
+        dates[5] = "Jul 1, 2016"
+        with open(src, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["HU,FL", "when", "OT"])
+            writer.writerows(zip(values[0].tolist(), dates, values[1].tolist()))
+        assert run_cli("augment", "--in", str(src), "--out", str(out),
+                       "--date-column", "when", "--seed", "1") == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == 'when,"HU,FL",OT'
+        assert lines[6].startswith('"Jul 1, 2016",')
+        aug = load_csv(out, date_column="when")
+        assert aug.channel_names == ["HU,FL", "OT"] and aug.timestamps == dates
+        assert aug.values.shape == (2, 120) and not np.array_equal(aug.values, values)
 
     def test_dump_spectrum_columns(self, tmp_path):
         src = make_series(tmp_path, channels=1)

@@ -32,7 +32,7 @@ def test_load_csv_single_channel(tmp_path):
     p = tmp_path / "d.csv"
     write_small_csv(p, ["t0,1.0", "t1,2.0", "t2,3.0"], header="date,x")
     ds = load_csv(p)
-    assert ds.n_channels == 1 and ds.length == 3
+    assert ds.values.shape[0] == 1 and ds.length == 3
 
 
 def test_load_csv_bad_cell_names_location(tmp_path):
@@ -80,6 +80,32 @@ def test_write_csv_bytes_match_csv_writer(tmp_path, channels):
     data = (tmp_path / "new.csv").read_bytes()
     assert data == (tmp_path / "old.csv").read_bytes()
     assert data.count(b"\r\n") == 51
+
+
+def test_write_csv_names_and_dates_match_csv_writer(tmp_path, monkeypatch):
+    # 7-row blocks: the first two hold dates that need quoting, the third
+    # (with an empty date) none.
+    values = _awkward_values()[:, :20]
+    names = ["when", "a,b", 'say "hi"', "c"]
+    dates = [f"2016-07-{i + 1:02d} 00:00:00" for i in range(20)]
+    dates[3], dates[9], dates[10], dates[16] = "Jul 4, 2016", 'the "10th"', "line\nbreak", ""
+    monkeypatch.setattr(dataset, "CSV_BLOCK_ROWS", 7)
+    write_csv(values, tmp_path / "new.csv", names, dates)
+    with open(tmp_path / "old.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows([d] + [repr(float(v)) for v in col] for d, col in zip(dates, values.T))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    ds = load_csv(tmp_path / "new.csv", date_column="when")
+    assert ds.channel_names == names[1:] and ds.timestamps == dates
+    assert ds.values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("names,dates", [(["date", "a"], None), (None, ["t0"] * 49)])
+def test_write_csv_rejects_names_or_dates_of_the_wrong_length(tmp_path, names, dates):
+    with pytest.raises(ValueError, match="3 channels of 50 rows need 4 names and 50 dates"):
+        write_csv(_awkward_values(), tmp_path / "new.csv", names, dates)
+    assert not (tmp_path / "new.csv").exists()
 
 
 # Cells that float() reads, and the value it reads from each; load_csv's
@@ -358,7 +384,8 @@ def test_window_sample_split():
     sample = WindowSample.split(window, 4, start_index=7)
     np.testing.assert_array_equal(sample.lookback, window[:, :4])
     np.testing.assert_array_equal(sample.horizon, window[:, 4:])
-    assert sample.shape == (2, 4, 2) and sample.start_index == 7
+    assert sample.lookback.shape == (2, 4) and sample.horizon.shape == (2, 2)
+    assert sample.start_index == 7
     np.testing.assert_array_equal(sample.concat(), window)
 
 

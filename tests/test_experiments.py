@@ -327,6 +327,38 @@ def test_empty_seeds_or_bad_factors_rejected_before_training(calls, run, kwargs,
     assert calls == {"train": 0, "factors": []}
 
 
+@pytest.mark.parametrize("run,kwargs,message", [
+    (run_ttt, dict(h=4, parts=1, seeds=()), "parts must be >= 2"),
+    (run_coldstart, dict(h=8, seeds=(), factors=()), "seeds must be non-empty"),
+])
+def test_first_bad_argument_named(calls, run, kwargs, message):
+    """run_ttt checks parts before seeds, run_coldstart seeds before factors."""
+    with pytest.raises(ValueError, match=f"^{message}"):
+        run(small_dataset(), kinds=["freq_mask"], b=8, cfg=quick_cfg(), **kwargs)
+    assert calls == {"train": 0, "factors": []}
+
+
+RUNNERS = {
+    "longterm": (run_longterm, dict(horizons=[8], select_rates=False, fixed_rate=0.3)),
+    "coldstart": (run_coldstart, dict(h=8, fraction=0.2, factors=(2,), rate=0.3)),
+    "ttt": (run_ttt, dict(h=8, parts=3, rate=0.3)),
+}
+
+
+@pytest.mark.parametrize("kinds", [["freq_mask"], ["freq_mask", "none"],
+                                   ["none", "freq_mask", "none"]])
+@pytest.mark.parametrize("protocol", RUNNERS)
+def test_control_first_at_rate_zero(protocol, kinds):
+    run, kwargs = RUNNERS[protocol]
+    rep = run(small_dataset(length=600), kinds=kinds, b=16, cfg=quick_cfg(),
+              seeds=(0, 1), **kwargs)
+    assert rep.kinds == ["none", "freq_mask"]
+    assert [(c.kind, c.seed, c.rate) for c in rep.cells] == [
+        ("none", 0, 0.0), ("none", 1, 0.0), ("freq_mask", 0, 0.3), ("freq_mask", 1, 0.3)]
+    assert rep.chosen_rates == {"none/8": 0.0, "freq_mask/8": 0.3}
+    assert rep.wall_clock_s > 0
+
+
 def fit_uses(source):
     """{enclosing function name, None at module level: line numbers} naming
     ``train`` or ``init_random``, outside imports."""

@@ -185,7 +185,7 @@ class TestEffectiveMap:
     def test_flat_adam_equals_per_parameter_update(self):
         b, h = 12, 5
         flat_model = DLinearModel.init_random(b=b, h=h, seed=2)
-        params = flat_model.copy_params()
+        params = copy_params(flat_model)
         flat = _Adam(flat_model.params().flat, 1e-2)
         oracle = PerParameterAdam(params, 1e-2, 0.9, 0.999, 1e-8)
         rng = np.random.default_rng(3)
@@ -214,18 +214,21 @@ class TestEffectiveMap:
         assert not np.allclose(after, before)
         assert_matches_oracle(after, two_branch_forward(model, look))
 
-    def test_set_and_copy_params_round_trip(self):
+    def test_flat_snapshot_and_restore_round_trip(self):
+        # train snapshots and restores the best parameters this way.
         model = DLinearModel.init_random(b=8, h=4, seed=1)
-        other = DLinearModel.init_random(b=8, h=4, seed=2).copy_params()
-        saved = model.copy_params()
-        model.set_params(other)
-        for name, value in other.items():
+        other = DLinearModel.init_random(b=8, h=4, seed=2)
+        saved = model.params().flat.copy()
+        model.params().flat[...] = other.params().flat
+        for name, value in other.params().items():
             np.testing.assert_array_equal(getattr(model, name), value)
             assert np.shares_memory(getattr(model, name), model.params().flat)
-        model.set_params(saved)
-        for name, value in saved.items():
-            np.testing.assert_array_equal(getattr(model, name), value)
-            assert not np.shares_memory(value, model.params().flat)
+        model.params().flat[...] = saved
+        np.testing.assert_array_equal(model.params().flat, saved)
+        assert not np.shares_memory(saved, model.params().flat)
+        for name in ("w_trend", "w_seasonal", "b_trend", "b_seasonal"):
+            assert model.params()[name] is getattr(model, name)
+            assert np.shares_memory(getattr(model, name), model.params().flat)
 
     def test_save_load_round_trip_keeps_one_buffer(self, tmp_path):
         model = DLinearModel.init_random(b=8, h=4, kernel=5, seed=9)
@@ -263,7 +266,7 @@ class TestTrain:
 
     def test_zero_epochs_returns_init(self):
         model = DLinearModel.init_random(b=4, h=2, seed=1)
-        before = model.copy_params()
+        before = copy_params(model)
         samples = linear_samples(10)
         model, trace = train(model, samples, samples, self._cfg(max_epochs=0))
         for k, v in before.items():
@@ -349,15 +352,20 @@ def reference_loss_and_grads(model, lookback, target):
     return loss, grads
 
 
+def copy_params(model):
+    """{name: copy} of the model's four parameters, one array each."""
+    return {k: v.copy() for k, v in model.params().items()}
+
+
 def reference_train(model, train_samples, val_samples, cfg, aug=None):
     """train's loop with the step as first written: one fancy index each
     for look-backs and horizons, copies stacked by np.concatenate, the
-    reference step and np.isfinite."""
+    reference step, np.isfinite and per-parameter snapshots of the best fit."""
     augmenting = aug is not None and aug.kind != "none"
     rng = np.random.default_rng(cfg.seed)
     opt = _Adam(model.params().flat, cfg.learning_rate)
     trace = fc.TrainingTrace()
-    best, best_val, bad_epochs = model.copy_params(), np.inf, 0
+    best, best_val, bad_epochs = copy_params(model), np.inf, 0
     step_size = max(1, cfg.batch_size // 2 if augmenting else cfg.batch_size)
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(len(train_samples))
@@ -378,13 +386,14 @@ def reference_train(model, train_samples, val_samples, cfg, aug=None):
         trace.train_loss.append(float(np.mean(epoch_losses)))
         trace.val_loss.append(val_loss)
         if val_loss < best_val:
-            best, best_val, bad_epochs = model.copy_params(), val_loss, 0
+            best, best_val, bad_epochs = copy_params(model), val_loss, 0
             trace.best_epoch = epoch
         else:
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
                 break
-    model.set_params(best)
+    for name, value in best.items():
+        getattr(model, name)[...] = value
     return model, trace
 
 
