@@ -6,7 +6,8 @@ and their composition) draw one mask per window and transform all of
 it, so the data-label pair stays consistent. Time-domain baselines,
 ASD averaging and MBB (one block draw per window) are for comparison.
 apply_augment alone turns a dataset.WindowSample into that array and
-the result back.
+back, drawing mixing partners from a Windows pool; expand_dataset alone
+makes augmented copies of a set, for training steps and expansions.
 """
 
 from dataclasses import dataclass
@@ -27,6 +28,8 @@ MBB_PERIOD = 24
 KEEP_TOP = 10
 NOISE_SCALE = 0.05
 WARP_FACTORS = (0.5, 2.0)
+# Shortest b + h each kind accepts, if above 1: two mbb periods; warp's L // 2 look-back >= 1.
+MIN_WINDOW = {"mbb": 2 * MBB_PERIOD, "warp": 2}
 
 
 @dataclass
@@ -233,19 +236,19 @@ def mbb_augment(x, period, rng, return_components=False):
     return out
 
 
-def apply_augment(sample, spec: AugmentSpec, rng, partner=None, pool=None):
+def apply_augment(sample, spec: AugmentSpec, rng, pool=None):
     """Augment one WindowSample according to spec into a new WindowSample.
 
     Here the sample becomes the (C, b+h) array the operators take, and
-    their result a sample again. Mixing kinds mix with `partner`; without
-    one they draw it uniformly from the Windows set `pool` (one
-    rng.integers call, before any mask). asd needs `pool` as its
-    candidate neighbors; other kinds ignore both.
+    their result a sample again. Mixing kinds draw their partner
+    uniformly from the Windows set `pool` (one rng.integers call, before
+    any mask); asd needs `pool` as its candidate neighbors. Other kinds
+    ignore it.
     """
     kind = spec.kind
-    if kind in MIX_KINDS and partner is None:
+    if kind in MIX_KINDS:
         if not pool:
-            raise ValueError(f"{kind} needs a partner sample or a pool to draw one from")
+            raise ValueError(f"{kind} needs a pool to draw its partner from")
         partner = pool[int(rng.integers(0, len(pool)))]
     b = sample.lookback.shape[1]
     x = sample.concat()
@@ -271,23 +274,25 @@ def apply_augment(sample, spec: AugmentSpec, rng, partner=None, pool=None):
     return WindowSample.split(out, b, sample.start_index)
 
 
-def expand_dataset(samples, spec: AugmentSpec, factor, rng):
+def expand_dataset(samples, spec: AugmentSpec, factor, rng, pool=None):
     """Originals plus (factor - 1) augmented copies of each window of a Windows set.
 
     The result is a Windows set whose one contiguous array holds all
     originals first, then the augmented copies grouped by round. Every
     copy draws from `rng`, round by round and in window order, so a
     smaller factor's output is a prefix of a larger one's under the same
-    seed. freq_mix partners are drawn uniformly from the input set.
+    seed. Mixing partners and asd neighbors come from the Windows set
+    `pool`, by default the input set.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
+    pool = samples if pool is None else pool
     n, b = len(samples), samples.b
     data = np.empty((factor * n,) + samples.data.shape[1:])
     data[:n] = samples.data
     # Each copy goes straight into its row, so no list of copies is kept.
     for k, sample in enumerate(list(samples) * (factor - 1), start=n):
-        copy = apply_augment(sample, spec, rng, pool=samples)
+        copy = apply_augment(sample, spec, rng, pool=pool)
         data[k, :, :b] = copy.lookback
         data[k, :, b:] = copy.horizon
     return Windows(data, b, np.tile(samples.starts, factor))

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .augment import ALL_KINDS, MBB_PERIOD, MIX_KINDS, AugmentSpec, apply_augment
-from .dataset import (SPLIT_SCHEMES, WindowSample, load_csv, make_windows,
+from .augment import ALL_KINDS, MIN_WINDOW, MIX_KINDS, AugmentSpec, apply_augment
+from .dataset import (SPLIT_SCHEMES, Windows, WindowSample, load_csv, make_windows,
                       split_and_normalize)
 from .forecaster import DLinearModel, TrainConfig, evaluate, train
 from .experiments import run_coldstart, run_longterm, run_ttt
@@ -90,18 +90,26 @@ def _check_flags(args, **least):
         raise ValueError(f"--rate does not suit --kind {args.kind}: {exc}") from None
 
 
+def _check_window(kinds, span, holder, names):
+    """Raise ValueError naming the first of `kinds` that needs windows longer than `span`."""
+    for kind in kinds:
+        if span < MIN_WINDOW.get(kind, 0):
+            raise ValueError(f"{holder} {kind}, which needs {names} >= "
+                             f"{MIN_WINDOW[kind]}, got {span}")
+
+
 def cmd_augment(args):
     spec = _check_flags(args, seed=0)
     ds = load_csv(args.infile, date_column=args.date_column)
+    _check_window([args.kind], ds.length, "--kind", f"the rows of --in {args.infile}")
     # Whole series as one window: first half look-back, rest horizon.
     b = ds.length // 2
     sample = WindowSample.split(ds.values, b)
     rng = np.random.default_rng(args.seed)
-    partner = None
-    if args.kind in MIX_KINDS:
-        # Self-mix with a shifted copy: roll the series by a quarter.
-        partner = WindowSample.split(np.roll(ds.values, ds.length // 4, axis=1), b)
-    out = apply_augment(sample, spec, rng, partner=partner)
+    # Mixing kinds self-mix: a one-window pool, the series rolled by a quarter.
+    pool = (Windows(np.roll(ds.values, ds.length // 4, axis=1)[None], b, np.zeros(1, int))
+            if args.kind in MIX_KINDS else None)
+    out = apply_augment(sample, spec, rng, pool=pool)
     write_csv(out.concat(), args.out, [args.date_column] + ds.channel_names, ds.timestamps)
     print(f"wrote {args.out}")
     if args.dump_spectrum:
@@ -135,6 +143,7 @@ def cmd_spectrum(args):
 
 def cmd_train(args):
     aug = _check_flags(args, lookback=1, horizon=1, epochs=0, seed=0)
+    _check_window([args.kind], args.lookback + args.horizon, "--kind", "--lookback + --horizon")
     ds = split_and_normalize(load_csv(args.dataset, date_column=args.date_column),
                              scheme=args.scheme)
     _check_window_fits(ds, args.lookback + args.horizon, "--lookback + --horizon")
@@ -184,8 +193,8 @@ def _check_config_types(config):
     protocol must be a known one, coldstart and ttt take one horizon,
     ttt at least two parts, lookback and horizons >= 1, epochs and
     seeds >= 0, factors >= 1, 0 < fraction <= 1, every kind accepts rate
-    (and each rate_grid value under select_rates), and mbb's windows span
-    two decomposition periods, so a bad value fails before the dataset
+    (and each rate_grid value under select_rates) and its windows span
+    augment.MIN_WINDOW[kind], so a bad value fails before the dataset
     is loaded.
     """
     for key, default in DEFAULT_CONFIG.items():
@@ -230,10 +239,8 @@ def _check_config_types(config):
                 AugmentSpec(kind=kind, rate=rate)
             except ValueError as exc:
                 raise ValueError(f"config key {key!r} does not suit {kind}: {exc}") from None
-    span = config["lookback"] + min(config["horizons"])
-    if "mbb" in config["kinds"] and span < 2 * MBB_PERIOD:
-        raise ValueError(f"config key 'kinds' holds mbb, which needs config key 'lookback' "
-                         f"plus the shortest horizon >= {2 * MBB_PERIOD}, got {span}")
+    _check_window(config["kinds"], config["lookback"] + min(config["horizons"]),
+                  "config key 'kinds' holds", "config key 'lookback' plus the shortest horizon")
 
 
 def _check_window_fits(ds, span, names, parts=None):
@@ -263,7 +270,7 @@ def cmd_run(args):
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         config.update(loaded)
     # Flag overrides win over file values.
-    for key in ("protocol", "dataset", "scheme", "rate", "out"):
+    for key in ("protocol", "dataset", "scheme", "rate", "fraction", "out"):
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
@@ -273,8 +280,6 @@ def cmd_run(args):
         config["kinds"] = [args.kind]
     if args.seed is not None:
         config["seeds"] = [args.seed]
-    if args.fraction is not None:
-        config["fraction"] = args.fraction
     if config["dataset"] is None:
         raise ValueError("no dataset configured (use --dataset or a config file)")
     _check_config_types(config)

@@ -201,7 +201,8 @@ class Windows:
     """n windows as one (n, C, b+h) array ``data`` plus their start columns.
 
     ``ws[k]`` is window k as a WindowSample of views, ``ws[i:j]`` a set
-    of views, and iteration yields WindowSamples in order.
+    of views, ``ws[idx]`` for an index array a set copied by one fancy
+    index (starts included), and iteration yields WindowSamples in order.
     ``ws.lookback`` and ``ws.horizon`` are (n, C, b) and (n, C, h) views;
     ``ws.lookback[idx]`` is one fancy index, a contiguous copy of the
     look-backs at ``idx``.
@@ -224,7 +225,7 @@ class Windows:
         return len(self.data)
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
+        if isinstance(k, (slice, np.ndarray)):
             return Windows(self.data[k], self.b, self.starts[k])
         return WindowSample.split(self.data[k], self.b, int(self.starts[k]))
 

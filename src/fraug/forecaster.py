@@ -7,13 +7,14 @@ look-back, so they are applied as one effective linear map: one matmul
 per forward pass and one per gradient. Training is plain minibatch
 gradient descent with adaptive-moment updates on one flat vector that
 holds all four parameters, early stopping on validation loss, and
-optional batch-wise augmentation: the configured batch is halved, every
-half-batch sample is augmented once, and the model trains on the
-doubled batch. Every window set is one dataset.Windows array: each
-step gathers its windows with one fancy index into it and passes views
-of that batch. Validation and test sets are scored block by block
-through two buffers allocated once per pass, so the memory scoring
-takes follows the block, not the set.
+optional batch-wise augmentation: the configured batch is halved, one
+augment.expand_dataset call adds a copy of each half-batch window, with
+mixing partners drawn from the whole training set, and the model trains
+on the doubled batch. Every window set is one dataset.Windows array:
+each step gathers its windows with one fancy index and passes views of
+that batch. Validation and test sets are scored block by block through
+two buffers allocated once per pass, so the memory scoring takes
+follows the block, not the set.
 """
 
 import json
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import AugmentSpec, apply_augment
+from .augment import AugmentSpec, expand_dataset
 
 CHECKPOINT_MAGIC = "FRAUG-DLINEAR-v1"
 # Window-channel rows per scoring block: a block holds max(1, rows // C) windows.
@@ -295,29 +296,16 @@ def train(model, train_samples, val_samples, cfg: TrainConfig,
     best = params.copy()
     best_val = np.inf
     bad_epochs = 0
-    step_size = cfg.batch_size // 2 if augmenting else cfg.batch_size
-    step_size = max(1, step_size)
-    b = train_samples.b
+    step_size = max(1, cfg.batch_size // 2 if augmenting else cfg.batch_size)
 
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(len(train_samples))
         epoch_losses = []
         for lo in range(0, len(order), step_size):
-            idx = order[lo: lo + step_size]
+            batch = train_samples[order[lo: lo + step_size]]
             if augmenting:
-                # Each copy goes straight into its row; stacking a list of
-                # copies took about 5x as long at C=7, b=h=96.
-                k = len(idx)
-                batch = np.empty((2 * k,) + train_samples.data.shape[1:])
-                batch[:k] = train_samples.data[idx]
-                for row, i in enumerate(idx, start=k):
-                    copy = apply_augment(train_samples[i], aug, rng, pool=train_samples)
-                    batch[row, :, :b] = copy.lookback
-                    batch[row, :, b:] = copy.horizon
-            else:
-                batch = train_samples.data[idx]
-            # Views of the one gathered batch; _rows merges their leading axes.
-            loss, grads = loss_and_grads(model, batch[:, :, :b], batch[:, :, b:])
+                batch = expand_dataset(batch, aug, 2, rng, pool=train_samples)
+            loss, grads = loss_and_grads(model, batch.lookback, batch.horizon)
             if not math.isfinite(loss):
                 raise FloatingPointError(f"divergence at epoch {epoch}")
             epoch_losses.append(loss)

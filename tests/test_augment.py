@@ -33,6 +33,12 @@ def assert_samples_close(a, b, atol=1e-9):
     np.testing.assert_allclose(a.horizon, b.horizon, atol=atol)
 
 
+def one_window_pool(sample):
+    """The Windows set holding one WindowSample, a mixing partner's pool."""
+    return Windows(sample.concat()[None], sample.lookback.shape[1],
+                   np.array([sample.start_index]))
+
+
 def impulse_keep_mask(n_bins, mu, rng):
     """freq_mask's keep-mask over n_bins bins, read from the spectrum of a
     masked unit impulse, whose every bin is 1."""
@@ -455,6 +461,26 @@ class TestExpandDataset:
         assert_windows_equal(out, ref)
         assert rng.random() == ref_rng.random()
 
+    @pytest.mark.parametrize("kind", ["freq_mix", "freq_mask_then_mix"])
+    def test_partners_come_from_the_given_pool(self, kind):
+        # train expands each step's windows with partners from the whole
+        # training set, not from the step's own windows.
+        windows = random_windows(4, 2, 12, 6, seed=3)
+        pool = random_windows(9, 2, 12, 6, seed=4)
+        spec = AugmentSpec(kind=kind, rate=0.3)
+        rng = np.random.default_rng(13)
+        out = expand_dataset(windows, spec, 3, rng, pool=pool)
+        ref_rng = np.random.default_rng(13)
+        ref = originals(windows)
+        for _ in range(2):
+            for w in windows:
+                copy = apply_augment(w, spec, ref_rng, pool=pool)
+                ref.append((copy.lookback, copy.horizon, w.start_index))
+        assert_windows_equal(out, ref)
+        assert rng.random() == ref_rng.random()
+        default = expand_dataset(windows, spec, 3, np.random.default_rng(13))
+        assert not np.array_equal(default.data, out.data)
+
 
 class TestMixPartner:
     @pytest.mark.parametrize("kind", ["freq_mix", "freq_mask_then_mix"])
@@ -466,7 +492,8 @@ class TestMixPartner:
         out = apply_augment(sample, spec, rng, pool=pool)
         ref_rng = np.random.default_rng(11)
         partner = pool[ref_rng.integers(0, len(pool))]
-        ref = apply_augment(sample, spec, ref_rng, partner=partner)
+        # A one-window pool's draw, integers(0, 1), takes nothing from the rng.
+        ref = apply_augment(sample, spec, ref_rng, pool=one_window_pool(partner))
         np.testing.assert_array_equal(out.concat(), ref.concat())
         assert rng.random() == ref_rng.random()
 
@@ -474,7 +501,7 @@ class TestMixPartner:
     def test_no_partner_and_no_pool_rejected(self, kind):
         spec = AugmentSpec(kind=kind, rate=0.2)
         for pool in (None, random_windows(0, 2, 16, 8, seed=0)):
-            with pytest.raises(ValueError, match="partner sample or a pool"):
+            with pytest.raises(ValueError, match="needs a pool to draw its partner from"):
                 apply_augment(make_sample(), spec, np.random.default_rng(0), pool=pool)
 
 
@@ -486,7 +513,7 @@ class TestSharedMask:
         sample = make_sample(c=3, b=64, h=32, seed=4)
         partner = make_sample(c=3, b=64, h=32, seed=5)
         out = apply_augment(sample, AugmentSpec(kind=kind, rate=0.5),
-                            np.random.default_rng(0), partner=partner)
+                            np.random.default_rng(0), pool=one_window_pool(partner))
         keep = np.random.default_rng(0).random(96 // 2 + 1) >= 0.5
         assert keep.any() and not keep.all()
         for ch in range(3):
@@ -520,8 +547,9 @@ class TestDeterminism:
         sample = make_sample(c=2, b=32, h=16, seed=0)
         partner = make_sample(c=2, b=32, h=16, seed=1)
         spec = AugmentSpec(kind=kind, rate=0.3)
-        a = apply_augment(sample, spec, np.random.default_rng(77), partner=partner)
-        b = apply_augment(sample, spec, np.random.default_rng(77), partner=partner)
+        pool = one_window_pool(partner)
+        a = apply_augment(sample, spec, np.random.default_rng(77), pool=pool)
+        b = apply_augment(sample, spec, np.random.default_rng(77), pool=pool)
         np.testing.assert_array_equal(a.lookback, b.lookback)
         np.testing.assert_array_equal(a.horizon, b.horizon)
 
@@ -585,8 +613,8 @@ def test_spec_validation():
         AugmentSpec(kind="freq_mask", rate=1.5)
 
 
-def window_sample_uses(source):
-    """{enclosing function name, None at module level: line numbers} naming WindowSample."""
+def name_uses(source, target="WindowSample"):
+    """{enclosing function name, None at module level: line numbers} naming `target`."""
     found = {}
 
     def visit(node, func):
@@ -599,7 +627,7 @@ def window_sample_uses(source):
                 name = (child.asname or child.name).rpartition(".")[2]
             else:
                 name = None
-            if name == "WindowSample":
+            if name == target:
                 found.setdefault(func, []).append(child.lineno)
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if inner else func)
@@ -615,17 +643,30 @@ def window_sample_uses(source):
     ("class A:\n    def g(self):\n        return WindowSample", "g"),
 ])
 def test_window_sample_detector_flags(source, where):
-    assert list(window_sample_uses(source)) == [where]
+    assert list(name_uses(source)) == [where]
 
 
 def test_window_sample_named_only_at_the_boundary():
     """The window format lives in dataset; augment converts only in apply_augment."""
     paths = sorted(Path(augment.__file__).parent.glob("*.py"))
-    found = {p.name: window_sample_uses(p.read_text()) for p in paths}
+    found = {p.name: name_uses(p.read_text()) for p in paths}
     allowed = {"dataset.py", "cli.py", "augment.py"}
     assert not {name: uses for name, uses in found.items()
                 if uses and name not in allowed}
     assert set(found["augment.py"]) == {None, "apply_augment"}
+
+
+def test_copies_made_only_by_expand_dataset():
+    """apply_augment is named only in expand_dataset, which makes every
+    augmented copy, and in fraug augment's one whole-series window; the
+    trainer names neither it nor the per-window type."""
+    paths = sorted(Path(augment.__file__).parent.glob("*.py"))
+    callers = {(p.name, func) for p in paths
+               for func in name_uses(p.read_text(), "apply_augment") if func is not None}
+    assert callers == {("augment.py", "expand_dataset"), ("cli.py", "cmd_augment")}
+    source = Path(augment.__file__).with_name("forecaster.py").read_text()
+    assert not name_uses(source, "apply_augment")
+    assert not name_uses(source, "WindowSample")
 
 
 def report_path_uses(source):

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from fraug.augment import MIN_WINDOW, freq_mask_then_mix, freq_mix
 from fraug.cli import AUGMENT_KINDS, main
 from fraug.dataset import load_csv
 from fraug.forecaster import DLinearModel
@@ -166,6 +167,33 @@ class TestAugment:
         assert run_cli("augment", "--in", str(src), "--out", str(out),
                        "--kind", "freq_mix", "--rate", "0.2") == 0
 
+    @pytest.mark.parametrize("kind,mix", [("freq_mix", freq_mix),
+                                          ("freq_mask_then_mix", freq_mask_then_mix)])
+    def test_mix_partner_is_the_series_rolled_by_a_quarter(self, tmp_path, kind, mix):
+        # The one-window pool's draw takes nothing from the generator.
+        src = make_series(tmp_path)
+        out = tmp_path / "aug.csv"
+        assert run_cli("augment", "--in", str(src), "--out", str(out),
+                       "--kind", kind, "--rate", "0.3", "--seed", "5") == 0
+        x = load_csv(src).values
+        want = mix(x, np.roll(x, 400 // 4, axis=1), 0.3, np.random.default_rng(5))
+        np.testing.assert_array_equal(load_csv(out).values, want)
+
+    @pytest.mark.parametrize("kind", sorted(MIN_WINDOW))
+    def test_series_shorter_than_the_kind_accepts_named(self, tmp_path, capsys, kind):
+        least = MIN_WINDOW[kind]
+        for length, rc in ((least - 1, 1), (least, 0)):
+            src = make_series(tmp_path, f"in{length}.csv", length=length)
+            out, spec = tmp_path / f"aug{length}.csv", tmp_path / f"spec{length}.csv"
+            capsys.readouterr()
+            assert run_cli("augment", "--in", str(src), "--out", str(out), "--kind", kind,
+                           "--dump-spectrum", str(spec)) == rc
+            assert out.exists() == spec.exists() == (rc == 0)
+            if rc:
+                assert capsys.readouterr().err == (
+                    f"error: --kind {kind}, which needs the rows of --in {src} "
+                    f">= {least}, got {length}\n")
+
     def test_asd_not_offered(self, tmp_path, capsys):
         # One whole-series window has no candidate pool for asd.
         src = make_series(tmp_path, length=200)
@@ -262,6 +290,15 @@ class TestTrain:
                      "--out", str(ckpt), flag, value)
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not ckpt.exists()
+
+    def test_mbb_window_named_before_reading(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.json"
+        rc = run_cli("train", "--dataset", str(tmp_path / "nope.csv"), "--out", str(ckpt),
+                     "--lookback", "20", "--horizon", "10", "--kind", "mbb")
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: --kind mbb, which needs --lookback + "
+                                           "--horizon >= 48, got 30\n")
         assert not ckpt.exists()
 
     def test_mix_rate_above_half_named_before_reading(self, tmp_path, capsys):

@@ -404,6 +404,18 @@ def test_windows_set_access():
     assert ws.data.shape == (len(ref), 2, 8) and not ws.data.flags.owndata
 
 
+def test_windows_index_array_is_one_stacked_set():
+    values = np.arange(60.0).reshape(2, 30)
+    ws = span_windows(values, 3, 30, 5, 3, stride=2)
+    idx = np.array([4, 0, 4, 2])
+    got = ws[idx]
+    assert isinstance(got, Windows) and got.b == 5 and got.data.flags.c_contiguous
+    np.testing.assert_array_equal(got.data, np.stack([ws.data[i] for i in idx]))
+    np.testing.assert_array_equal(got.starts, np.stack([ws.starts[i] for i in idx]))
+    assert_windows_equal(got, [(w.lookback, w.horizon, w.start_index)
+                               for w in (ws[int(i)] for i in idx)])
+
+
 def test_take_last_fraction_of_a_set_is_a_slice():
     ds = split_and_normalize(_synthetic_ds(), scheme="generic")
     ws = make_windows(ds, "train", 24, 12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fraug.forecaster as fc
-from fraug.augment import AugmentSpec
+from fraug.augment import AugmentSpec, apply_augment
 from fraug.dataset import (TimeSeriesDataset, Windows, make_windows,
                            span_windows, split_and_normalize)
 from fraug.forecaster import (DLinearModel, Metrics, TrainConfig, _Adam,
@@ -374,7 +374,7 @@ def reference_train(model, train_samples, val_samples, cfg, aug=None):
             idx = order[lo: lo + step_size]
             look, hor = train_samples.lookback[idx], train_samples.horizon[idx]
             if augmenting:
-                copies = [fc.apply_augment(train_samples[i], aug, rng, pool=train_samples)
+                copies = [apply_augment(train_samples[i], aug, rng, pool=train_samples)
                           for i in idx]
                 look = np.concatenate([look, [c.lookback for c in copies]])
                 hor = np.concatenate([hor, [c.horizon for c in copies]])
@@ -400,7 +400,7 @@ def reference_train(model, train_samples, val_samples, cfg, aug=None):
 class TestStepBits:
     """train's one-gather step gives the reference step's bits."""
 
-    @pytest.mark.parametrize("kind", ["none", "freq_mask"])
+    @pytest.mark.parametrize("kind", ["none", "freq_mask", "freq_mix"])
     @pytest.mark.parametrize("n,c,b,h,stride", [(70, 1, 16, 8, 1), (36, 7, 96, 96, 3)],
                              ids=["C1", "C7"])
     def test_train_matches_reference_loop(self, n, c, b, h, stride, kind):
