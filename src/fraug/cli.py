@@ -33,6 +33,9 @@ from .synth import SynthSpec, generate, write_csv
 # pool for asd to average over.
 AUGMENT_KINDS = tuple(k for k in ALL_KINDS if k != "asd")
 PROTOCOLS = ("longterm", "coldstart", "ttt")
+# The least value of each bounded flag; fraug run's config keys read the same.
+LEAST = {"lookback": 1, "horizon": 1, "epochs": 0, "seed": 0,
+         "length": 1, "channels": 1, "noise": 0}
 
 
 def _parse_tones(text):
@@ -51,7 +54,7 @@ def _parse_tones(text):
 
 
 def cmd_synth(args):
-    _check_least(args, length=1, channels=1, seed=0, noise=0)
+    _check_least(args, "length", "channels", "seed", "noise")
     for flag in ("noise", "trend", "shift_delta"):
         if not math.isfinite(getattr(args, flag)):
             raise ValueError(f"--{flag.replace('_', '-')} must be finite")
@@ -73,21 +76,26 @@ def cmd_synth(args):
     return 0
 
 
-def _check_least(args, **least):
-    """Raise ValueError naming the first flag that is not >= its least value."""
-    for name, lo in least.items():
+def _check_least(args, *names):
+    """Raise ValueError naming the first flag that is not >= its LEAST value."""
+    for name in names:
         value = getattr(args, name)
-        if not value >= lo:
-            raise ValueError(f"--{name} must be >= {lo}, got {value}")
+        if not value >= LEAST[name]:
+            raise ValueError(f"--{name} must be >= {LEAST[name]}, got {value}")
 
 
-def _check_flags(args, **least):
-    """AugmentSpec of --kind and --rate, once each named flag is >= its least value."""
-    _check_least(args, **least)
+def _augment_spec(kind, rate, rate_name, kind_name):
+    """AugmentSpec(kind, rate); a ValueError says that `rate_name` does not suit `kind_name`."""
     try:
-        return AugmentSpec(kind=args.kind, rate=args.rate)
+        return AugmentSpec(kind=kind, rate=rate)
     except ValueError as exc:
-        raise ValueError(f"--rate does not suit --kind {args.kind}: {exc}") from None
+        raise ValueError(f"{rate_name} does not suit {kind_name}: {exc}") from None
+
+
+def _check_flags(args, *names):
+    """AugmentSpec of --kind and --rate, once each named flag is >= its least value."""
+    _check_least(args, *names)
+    return _augment_spec(args.kind, args.rate, "--rate", f"--kind {args.kind}")
 
 
 def _check_window(kinds, span, holder, names):
@@ -99,7 +107,7 @@ def _check_window(kinds, span, holder, names):
 
 
 def cmd_augment(args):
-    spec = _check_flags(args, seed=0)
+    spec = _check_flags(args, "seed")
     ds = load_csv(args.infile, date_column=args.date_column)
     _check_window([args.kind], ds.length, "--kind", f"the rows of --in {args.infile}")
     # Whole series as one window: first half look-back, rest horizon.
@@ -142,7 +150,7 @@ def cmd_spectrum(args):
 
 
 def cmd_train(args):
-    aug = _check_flags(args, lookback=1, horizon=1, epochs=0, seed=0)
+    aug = _check_flags(args, "lookback", "horizon", "epochs", "seed")
     _check_window([args.kind], args.lookback + args.horizon, "--kind", "--lookback + --horizon")
     ds = split_and_normalize(load_csv(args.dataset, date_column=args.date_column),
                              scheme=args.scheme)
@@ -158,23 +166,24 @@ def cmd_train(args):
     return 0
 
 
-DEFAULT_CONFIG = {
-    "protocol": "longterm",
-    "dataset": None,
-    "date_column": "date",
-    "scheme": "generic",
-    "lookback": 96,
-    "horizons": [96],
-    "kinds": ["freq_mask"],
-    "rate": 0.2,
-    "rate_grid": [0.1, 0.2, 0.3, 0.4, 0.5],
-    "select_rates": False,
-    "fraction": 0.01,
-    "factors": [2, 50],
-    "parts": 20,
-    "seeds": [0],
-    "epochs": 20,
-    "out": "runs/run",
+# fraug run's config: key -> (default, least value or allowed values or None).
+CONFIG = {
+    "protocol": ("longterm", PROTOCOLS),
+    "dataset": (None, None),
+    "date_column": ("date", None),
+    "scheme": ("generic", tuple(sorted(SPLIT_SCHEMES))),
+    "lookback": (96, LEAST["lookback"]),
+    "horizons": ([96], LEAST["horizon"]),
+    "kinds": (["freq_mask"], ALL_KINDS),
+    "rate": (0.2, None),
+    "rate_grid": ([0.1, 0.2, 0.3, 0.4, 0.5], None),
+    "select_rates": (False, None),
+    "fraction": (0.01, None),
+    "factors": ([2, 50], 1),
+    "parts": (20, None),
+    "seeds": ([0], LEAST["seed"]),
+    "epochs": (20, LEAST["epochs"]),
+    "out": ("runs/run", None),
 }
 
 
@@ -186,59 +195,43 @@ def _has_type(value, kind):
 
 
 def _check_config_types(config):
-    """Each value has its default's type; a list holds its default items' type.
-
-    Lists must be non-empty, except kinds: the protocols always add the
-    "none" control, so an empty kinds list runs the control alone. The
-    protocol must be a known one, coldstart and ttt take one horizon,
-    ttt at least two parts, lookback and horizons >= 1, epochs and
-    seeds >= 0, factors >= 1, 0 < fraction <= 1, every kind accepts rate
-    (and each rate_grid value under select_rates) and its windows span
-    augment.MIN_WINDOW[kind], so a bad value fails before the dataset
-    is loaded.
+    """Each value has its CONFIG default's type (dataset: str) and bound; a
+    list is non-empty (kinds may be empty: the "none" control always runs)
+    and its items have the default items' type and the bound. Then
+    coldstart and ttt take one horizon, ttt at least two parts,
+    0 < fraction <= 1, every kind accepts rate (and each rate_grid value
+    under select_rates) and its windows span augment.MIN_WINDOW[kind],
+    so a bad value fails before the dataset is loaded.
     """
-    for key, default in DEFAULT_CONFIG.items():
+    for key, (default, bound) in CONFIG.items():
         value = config[key]
-        if key == "dataset":
-            ok, want = isinstance(value, str), "a string"
-        elif isinstance(default, list):
-            item = type(default[0])
-            empty_ok = key == "kinds"
-            ok = (isinstance(value, list) and (empty_ok or bool(value))
+        if isinstance(default, list):
+            item, items, must = type(default[0]), value, f"must hold {key}"
+            ok = (isinstance(value, list) and (bool(value) or key == "kinds")
                   and all(_has_type(v, item) for v in value))
-            want = f"a {'' if empty_ok else 'non-empty '}list of {item.__name__}"
+            want = f"a {'' if key == 'kinds' else 'non-empty '}list of {item.__name__}"
         else:
-            ok, want = _has_type(value, type(default)), type(default).__name__
+            item, items, must = str if default is None else type(default), [value], "must be"
+            ok, want = _has_type(value, item), item.__name__
         if not ok:
             raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
-    if config["protocol"] not in PROTOCOLS:
-        raise ValueError(f"config key 'protocol' must be one of {', '.join(PROTOCOLS)}, "
-                         f"got {config['protocol']!r}")
+        for v in items:
+            if isinstance(bound, tuple) and v not in bound or isinstance(bound, int) and v < bound:
+                rule = f"in ({', '.join(bound)})" if isinstance(bound, tuple) else f">= {bound}"
+                raise ValueError(f"config key {key!r} {must} {rule}, got {v!r}")
     if config["protocol"] != "longterm" and len(config["horizons"]) != 1:
         raise ValueError(f"config key 'horizons' must hold one horizon for "
                          f"{config['protocol']}, got {config['horizons']!r}")
     if config["protocol"] == "ttt" and config["parts"] < 2:
         raise ValueError(f"config key 'parts' must be >= 2, got {config['parts']}")
-    for key, least in (("lookback", 1), ("epochs", 0)):
-        if config[key] < least:
-            raise ValueError(f"config key {key!r} must be >= {least}, got {config[key]}")
-    for key, least in (("horizons", 1), ("seeds", 0), ("factors", 1)):
-        for value in config[key]:
-            if value < least:
-                raise ValueError(f"config key {key!r} must hold {key} >= {least}, got {value}")
     if not 0 < config["fraction"] <= 1:
         raise ValueError(f"config key 'fraction' must be in (0, 1], got {config['fraction']}")
     rates = [("rate", config["rate"])]
     if config["select_rates"]:
         rates += [("rate_grid", rate) for rate in config["rate_grid"]]
     for kind in config["kinds"]:
-        if kind not in ALL_KINDS:
-            raise ValueError(f"config key 'kinds' holds unknown kind {kind!r}")
         for key, rate in rates:
-            try:
-                AugmentSpec(kind=kind, rate=rate)
-            except ValueError as exc:
-                raise ValueError(f"config key {key!r} does not suit {kind}: {exc}") from None
+            _augment_spec(kind, rate, f"config key {key!r}", kind)
     _check_window(config["kinds"], config["lookback"] + min(config["horizons"]),
                   "config key 'kinds' holds", "config key 'lookback' plus the shortest horizon")
 
@@ -261,25 +254,28 @@ def _check_window_fits(ds, span, names, parts=None):
 
 
 def cmd_run(args):
-    config = dict(DEFAULT_CONFIG)
+    config = {key: default for key, (default, _) in CONFIG.items()}
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        unknown = set(loaded) - set(DEFAULT_CONFIG)
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except ValueError as exc:  # malformed JSON, or text that is not UTF-8
+            raise ValueError(f"config file {args.config}: {exc}") from None
+        if not isinstance(loaded, dict):
+            found = {list: "an array", str: "a string", bool: "a boolean",
+                     type(None): "null"}.get(type(loaded), "a number")
+            raise ValueError(f"config file {args.config} must hold a JSON object, got {found}")
+        unknown = set(loaded) - set(CONFIG)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         config.update(loaded)
-    # Flag overrides win over file values.
-    for key in ("protocol", "dataset", "scheme", "rate", "fraction", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
-    if args.horizon is not None:
-        config["horizons"] = [args.horizon]
-    if args.kind is not None:
-        config["kinds"] = [args.kind]
-    if args.seed is not None:
-        config["seeds"] = [args.seed]
+    # Flag overrides win over file values; --horizon, --kind and --seed
+    # each give a one-item list (horizons, kinds, seeds).
+    for flag in ("protocol", "dataset", "scheme", "rate", "fraction", "out",
+                 "horizon", "kind", "seed"):
+        if (value := getattr(args, flag)) is not None:
+            key = flag if flag in CONFIG else flag + "s"
+            config[key] = value if key == flag else [value]
     if config["dataset"] is None:
         raise ValueError("no dataset configured (use --dataset or a config file)")
     _check_config_types(config)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fraug.augment import MIN_WINDOW, freq_mask_then_mix, freq_mix
-from fraug.cli import AUGMENT_KINDS, main
+from fraug.cli import AUGMENT_KINDS, CONFIG, _check_config_types, main
 from fraug.dataset import load_csv
 from fraug.forecaster import DLinearModel
 from fraug.spectral import amplitude_spectrum, rfft
@@ -277,11 +277,12 @@ class TestTrain:
         ("--horizon", "0", "--horizon must be >= 1, got 0"),
         ("--epochs", "-1", "--epochs must be >= 0, got -1"),
         ("--seed", "-3", "--seed must be >= 0, got -3"),
+        ("--seed", "-1", "--seed must be >= 0, got -1"),
         ("--rate", "-0.1", "--rate does not suit --kind none: "
                            "rate must be in [0, 1], got -0.1"),
         ("--rate", "nan", "--rate does not suit --kind none: "
                           "rate must be in [0, 1], got nan"),
-    ], ids=["lookback", "horizon", "epochs", "seed", "rate", "rate-nan"])
+    ], ids=["lookback", "horizon", "epochs", "seed", "seed-least", "rate", "rate-nan"])
     def test_bad_flag_named_before_reading(self, tmp_path, capsys, flag, value, message):
         # The dataset does not exist: a flag checked after reading would
         # report the missing file instead.
@@ -456,6 +457,7 @@ class TestRun:
         ({"epochs": -1}, "epochs"),
         ({"kinds": ["mbb"]}, "kinds"),
         ({"protocol": "ttt", "kinds": ["freq_mask", "mbb"]}, "kinds"),
+        ({"scheme": "bogus"}, "scheme"),
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, override, key):
         src = make_series(tmp_path)
@@ -547,6 +549,36 @@ class TestRun:
         err = capsys.readouterr().err
         assert "'protocol'" in err and "'bogus'" in err and "absent.csv" not in err
 
+    def test_unknown_scheme_rejected_before_loading(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"scheme": "bogus",
+                                      "dataset": str(tmp_path / "absent.csv")}))
+        assert run_cli("run", "--config", str(config)) == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'scheme' must be in (ett-hourly, ett-minute, generic), "
+            "got 'bogus'\n")
+
+    @pytest.mark.parametrize("text,found", [("null", "null"), ("5", "a number"),
+                                            ('"abc"', "a string"), ("[1]", "an array")])
+    def test_config_that_is_not_an_object_names_the_file(self, tmp_path, capsys, text, found):
+        config, out_dir = tmp_path / "cfg.json", tmp_path / "run"
+        config.write_text(text)
+        assert run_cli("run", "--config", str(config), "--dataset",
+                       str(tmp_path / "absent.csv"), "--out", str(out_dir)) == 1
+        assert capsys.readouterr().err == (
+            f"error: config file {config} must hold a JSON object, got {found}\n")
+        assert not out_dir.exists()
+
+    def test_malformed_config_names_the_file(self, tmp_path, capsys):
+        config, out_dir = tmp_path / "cfg.json", tmp_path / "run"
+        config.write_text('{"lookback": 16\n"epochs": 2}')
+        assert run_cli("run", "--config", str(config), "--dataset",
+                       str(tmp_path / "absent.csv"), "--out", str(out_dir)) == 1
+        assert capsys.readouterr().err == (
+            f"error: config file {config}: Expecting ',' delimiter: "
+            f"line 2 column 1 (char 16)\n")
+        assert not out_dir.exists()
+
     def test_int_accepted_for_float_key(self, tmp_path):
         src = make_series(tmp_path)
         config = tmp_path / "cfg.json"
@@ -564,3 +596,25 @@ class TestRun:
         rc = run_cli("run", "--dataset", str(tmp_path / "absent.csv"))
         assert rc == 1
         assert "absent.csv" in capsys.readouterr().err
+
+
+LEAST_KEYS = [key for key, (_, bound) in CONFIG.items() if isinstance(bound, int)]
+
+
+def test_least_bounded_config_keys():
+    assert sorted(LEAST_KEYS) == ["epochs", "factors", "horizons", "lookback", "seeds"]
+
+
+@pytest.mark.parametrize("key", LEAST_KEYS)
+def test_config_least_value_is_the_edge(key):
+    # No data: the table alone decides, before any file is read.
+    default, least = CONFIG[key]
+    config = {k: d for k, (d, _) in CONFIG.items()}
+    config["dataset"] = "absent.csv"
+    wrap = (lambda v: [v]) if isinstance(default, list) else (lambda v: v)
+    config[key] = wrap(least)
+    _check_config_types(config)
+    config[key] = wrap(least - 1)
+    with pytest.raises(ValueError, match=f"^config key '{key}' must .*>= {least}, "
+                                         f"got {least - 1}$"):
+        _check_config_types(config)
