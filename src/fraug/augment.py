@@ -181,34 +181,36 @@ def asd_augment(x, pool, k=5):
 
 
 def decompose(series, period):
-    """Additive trend/seasonal/residual split; components sum back exactly.
+    """Additive trend/seasonal/residual split of the last axis; components sum back exactly.
 
     Trend is a centered moving average of width `period` over a
     replicate-padded series; seasonal is the mean-centered per-phase
-    average of the detrended values; residual is the remainder.
+    average of the detrended values; residual is the remainder. A
+    (..., n) stack is split row by row, each row to the same bits as the
+    1-D call on it: each phase is summed down a non-last axis, in an
+    order the leading axes do not change.
     """
     x = np.asarray(series, dtype=np.float64)
     if period < 2:
         raise ValueError("period must be >= 2")
-    n = len(x)
+    n = x.shape[-1]
     if n < 2 * period:
         raise ValueError(f"series of length {n} shorter than 2*period={2 * period}")
     pad_front = (period - 1) // 2
     pad_back = period - 1 - pad_front
-    padded = np.concatenate([np.repeat(x[0], pad_front), x, np.repeat(x[-1], pad_back)])
-    kernel = np.full(period, 1.0 / period)
-    trend = np.convolve(padded, kernel, mode="valid")
+    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad_front, pad_back)], mode="edge")
+    trend = sum(padded[..., j: j + n] for j in range(period)) / period
     detrended = x - trend
-    seasonal = np.empty(n)
     # Phase means use only samples whose trend window saw no padding, so
-    # edge artifacts do not leak into the seasonal component.
-    idx = np.arange(pad_front, n - pad_back)
-    phase_means = np.array(
-        [detrended[idx[idx % period == p]].mean() for p in range(period)]
-    )
-    phase_means -= phase_means.mean()
-    for p in range(period):
-        seasonal[p::period] = phase_means[p]
+    # edge artifacts do not leak into the seasonal component. Those samples
+    # are laid out one period per row, zeros elsewhere, and summed down the rows.
+    rows, kept = n // period + 1, slice(pad_front, n - pad_back)
+    laid = np.zeros(x.shape[:-1] + (rows * period,))
+    laid[..., kept] = detrended[..., kept]
+    counts = np.bincount(np.arange(n)[kept] % period, minlength=period)
+    phase_means = laid.reshape(x.shape[:-1] + (rows, period)).sum(axis=-2) / counts
+    phase_means -= phase_means.mean(axis=-1, keepdims=True)
+    seasonal = phase_means[..., np.arange(n) % period]
     residual = x - trend - seasonal
     return trend, seasonal, residual
 
@@ -216,17 +218,16 @@ def decompose(series, period):
 def mbb_augment(x, period, rng, return_components=False):
     """Moving-block-bootstrap the residual of each channel of a (C, L) window.
 
-    Trend and seasonal components are untouched; only the residual is
-    replaced by ceil(L / B) overlapping blocks of B = max(2, L // 10)
-    columns, cut to L. Every block start of the window is drawn in one
-    rng.integers call, channel by channel. With return_components, also
-    returns per-channel (trend, seasonal, original residual, resampled
-    residual).
+    One decompose call splits every channel. Trend and seasonal
+    components are untouched; only the residual is replaced by
+    ceil(L / B) overlapping blocks of B = max(2, L // 10) columns, cut
+    to L. Every block start of the window is drawn in one rng.integers
+    call, channel by channel. With return_components, also returns
+    per-channel (trend, seasonal, original residual, resampled residual).
     """
     c, n = x.shape
     block = max(2, n // 10)
-    trend, seasonal, residual = np.array(
-        [decompose(row, period) for row in x]).reshape(c, 3, n).transpose(1, 0, 2)
+    trend, seasonal, residual = decompose(x, period)
     starts = rng.integers(0, n - block + 1, size=(c, -(-n // block)))
     cols = (starts[:, :, None] + np.arange(block)).reshape(c, -1)[:, :n]
     boot = np.take_along_axis(residual, cols, axis=1)

@@ -11,7 +11,6 @@ date column name, channel names and date cells.
 """
 
 import argparse
-import csv
 import json
 import math
 import platform
@@ -127,19 +126,11 @@ def cmd_augment(args):
 
 
 def _dump_spectrum(original, augmented, names, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["bin"]
-        for name in names:
-            header += [f"{name}_original", f"{name}_augmented"]
-        writer.writerow(header)
-        amps_orig = [amplitude_spectrum(rfft(original[c])) for c in range(len(names))]
-        amps_aug = [amplitude_spectrum(rfft(augmented[c])) for c in range(len(names))]
-        for k in range(len(amps_orig[0])):
-            row = [k]
-            for c in range(len(names)):
-                row += [repr(float(amps_orig[c][k])), repr(float(amps_aug[c][k]))]
-            writer.writerow(row)
+    """One row per rfft bin of each channel's amplitude, original then augmented, via write_csv."""
+    amps = np.array([amplitude_spectrum(rfft(series[c]))
+                     for c in range(len(names)) for series in (original, augmented)])
+    header = ["bin"] + [f"{name}_{side}" for name in names for side in ("original", "augmented")]
+    write_csv(amps, path, header, [str(k) for k in range(amps.shape[1])])
 
 
 def cmd_spectrum(args):
@@ -194,15 +185,17 @@ def _has_type(value, kind):
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
-def _check_config_types(config):
+def _check_config_types(config, flags=None):
     """Each value has its CONFIG default's type (dataset: str) and bound; a
     list is non-empty (kinds may be empty: the "none" control always runs)
     and its items have the default items' type and the bound. Then
     coldstart and ttt take one horizon, ttt at least two parts,
     0 < fraction <= 1, every kind accepts rate (and each rate_grid value
     under select_rates) and its windows span augment.MIN_WINDOW[kind],
-    so a bad value fails before the dataset is loaded.
+    so a bad value fails before the dataset is loaded. A message names
+    the flag that set a key's value, where `flags` maps the key to one.
     """
+    flags = flags or {}
     for key, (default, bound) in CONFIG.items():
         value = config[key]
         if isinstance(default, list):
@@ -218,20 +211,23 @@ def _check_config_types(config):
         for v in items:
             if isinstance(bound, tuple) and v not in bound or isinstance(bound, int) and v < bound:
                 rule = f"in ({', '.join(bound)})" if isinstance(bound, tuple) else f">= {bound}"
-                raise ValueError(f"config key {key!r} {must} {rule}, got {v!r}")
+                where = f"{flags[key]} must be" if key in flags else f"config key {key!r} {must}"
+                raise ValueError(f"{where} {rule}, got {v!r}")
     if config["protocol"] != "longterm" and len(config["horizons"]) != 1:
         raise ValueError(f"config key 'horizons' must hold one horizon for "
                          f"{config['protocol']}, got {config['horizons']!r}")
     if config["protocol"] == "ttt" and config["parts"] < 2:
         raise ValueError(f"config key 'parts' must be >= 2, got {config['parts']}")
     if not 0 < config["fraction"] <= 1:
-        raise ValueError(f"config key 'fraction' must be in (0, 1], got {config['fraction']}")
+        name = flags.get("fraction", "config key 'fraction'")
+        raise ValueError(f"{name} must be in (0, 1], got {config['fraction']}")
     rates = [("rate", config["rate"])]
     if config["select_rates"]:
         rates += [("rate_grid", rate) for rate in config["rate_grid"]]
     for kind in config["kinds"]:
         for key, rate in rates:
-            _augment_spec(kind, rate, f"config key {key!r}", kind)
+            _augment_spec(kind, rate, flags.get(key, f"config key {key!r}"),
+                          f"--kind {kind}" if "kinds" in flags else kind)
     _check_window(config["kinds"], config["lookback"] + min(config["horizons"]),
                   "config key 'kinds' holds", "config key 'lookback' plus the shortest horizon")
 
@@ -271,14 +267,16 @@ def cmd_run(args):
         config.update(loaded)
     # Flag overrides win over file values; --horizon, --kind and --seed
     # each give a one-item list (horizons, kinds, seeds).
+    flags = {}
     for flag in ("protocol", "dataset", "scheme", "rate", "fraction", "out",
                  "horizon", "kind", "seed"):
         if (value := getattr(args, flag)) is not None:
             key = flag if flag in CONFIG else flag + "s"
             config[key] = value if key == flag else [value]
+            flags[key] = f"--{flag}"
     if config["dataset"] is None:
         raise ValueError("no dataset configured (use --dataset or a config file)")
-    _check_config_types(config)
+    _check_config_types(config, flags)
 
     ds = split_and_normalize(load_csv(config["dataset"],
                                       date_column=config["date_column"]),

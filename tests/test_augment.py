@@ -360,6 +360,38 @@ class TestDecompose:
         with pytest.raises(ValueError, match="shorter than"):
             decompose(np.arange(10.0), 6)
 
+    @pytest.mark.parametrize("c,n,period", [
+        (7, 192, 24), (2, 300, 24), (3, 61, 10), (4, 99, 2), (1, 48, 24),
+    ])
+    def test_stack_matches_rows(self, c, n, period):
+        # (7, 192, 24) and (2, 300, 24) differ in the last bits when a
+        # phase is summed along the last axis of a stack.
+        x = np.random.default_rng(n).normal(size=(c, n))
+        stacked = decompose(x, period)
+        for ch in range(c):
+            for got, want, loop in zip(stacked, decompose(x[ch], period),
+                                       reference_decompose(x[ch], period)):
+                np.testing.assert_array_equal(got[ch], want)
+                np.testing.assert_allclose(got[ch], loop, rtol=0, atol=1e-12)
+
+
+def reference_decompose(x, period):
+    """decompose as first written, for one 1-D series: np.convolve for the
+    trend and one mean per phase."""
+    n = len(x)
+    pad_front = (period - 1) // 2
+    pad_back = period - 1 - pad_front
+    padded = np.concatenate([np.repeat(x[0], pad_front), x, np.repeat(x[-1], pad_back)])
+    trend = np.convolve(padded, np.full(period, 1.0 / period), mode="valid")
+    detrended = x - trend
+    idx = np.arange(pad_front, n - pad_back)
+    phase_means = np.array([detrended[idx[idx % period == p]].mean() for p in range(period)])
+    phase_means -= phase_means.mean()
+    seasonal = np.empty(n)
+    for p in range(period):
+        seasonal[p::period] = phase_means[p]
+    return trend, seasonal, x - trend - seasonal
+
 
 class TestMbb:
     def test_zero_residual_identity(self):
@@ -382,6 +414,13 @@ class TestMbb:
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
         assert rng.random() == ref_rng.random()  # the same number of draws
+
+    def test_one_decomposition_per_window(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(augment, "decompose",
+                            lambda x, period: calls.append(x.shape) or decompose(x, period))
+        mbb_augment(window(c=7, b=96, h=96), 24, np.random.default_rng(0))
+        assert calls == [(7, 192)]
 
     def test_components_untouched(self):
         x = window(c=2, b=40, h=20, seed=2)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import platform
 import re
@@ -11,6 +12,7 @@ from fraug.cli import AUGMENT_KINDS, CONFIG, _check_config_types, main
 from fraug.dataset import load_csv
 from fraug.forecaster import DLinearModel
 from fraug.spectral import amplitude_spectrum, rfft
+from fraug.synth import write_csv
 
 
 def run_cli(*argv):
@@ -251,6 +253,27 @@ class TestSpectrum:
         assert values.shape == (201, 4)
         values_ch0 = amplitude_spectrum(rfft(load_csv(src).values[0]))
         assert np.array_equal(values[:, 0], values_ch0)
+
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        # A channel name with a comma is quoted; 401 rows give an odd length.
+        src = tmp_path / "in.csv"
+        values = np.random.default_rng(4).normal(size=(2, 401))
+        write_csv(values, src, ["date", "temp,C", "load"])
+        spec, aug_spec, aug = (tmp_path / name for name in ("s.csv", "as.csv", "a.csv"))
+        assert run_cli("spectrum", "--in", str(src), "--out", str(spec)) == 0
+        assert run_cli("augment", "--in", str(src), "--out", str(aug),
+                       "--dump-spectrum", str(aug_spec)) == 0
+        for out, augmented in ((spec, values), (aug_spec, load_csv(aug).values)):
+            buf = io.StringIO(newline="")
+            writer = csv.writer(buf)
+            writer.writerow(["bin", "temp,C_original", "temp,C_augmented",
+                             "load_original", "load_augmented"])
+            amps = [amplitude_spectrum(rfft(series[c]))
+                    for c in range(2) for series in (values, augmented)]
+            for k in range(201):
+                writer.writerow([k] + [repr(float(a[k])) for a in amps])
+            assert out.read_bytes() == buf.getvalue().encode()
 
 
 class TestTrain:
@@ -515,6 +538,22 @@ class TestRun:
         assert run_cli("run", "--config", str(config)) == 1
         err = capsys.readouterr().err
         assert "config key 'seeds' must hold seeds >= 0, got -1" in err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["--horizon", "0"], "--horizon must be >= 1, got 0"),
+        (["--rate", "0.9", "--kind", "freq_mix"],
+         "--rate does not suit --kind freq_mix: mix rate must be <= 0.5, got 0.9"),
+        (["--fraction", "2"], "--fraction must be in (0, 1], got 2.0"),
+    ])
+    def test_bad_flag_named(self, tmp_path, capsys, flags, message):
+        # The dataset does not exist: a flag checked after reading would
+        # report the missing file instead.
+        rc = run_cli("run", "--dataset", str(tmp_path / "nope.csv"),
+                     "--out", str(tmp_path / "run"), *flags)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
 
     def test_mbb_needs_two_periods_of_window(self, tmp_path, capsys):
         src = make_series(tmp_path, length=800)
