@@ -1,17 +1,17 @@
 """Tour of the augmentation families on a synthetic two-tone series.
 
 Every operator takes the concatenated (C, b+h) look-back + horizon
-window and returns a new one; apply_augment does the same for one
-WindowSample of a window set.
+window and returns a new one; expand_dataset makes augmented copies of
+a Windows set, here a set holding that one window.
 
 Run with:  python3 demos/02_augmentations.py
 """
 
 import numpy as np
 
-from fraug.augment import (AugmentSpec, apply_augment, asd_augment,
+from fraug.augment import (AugmentSpec, asd_augment, expand_dataset,
                            freq_mask, freq_mix, mbb_augment)
-from fraug.dataset import WindowSample
+from fraug.dataset import Windows
 from fraug.spectral import amplitude_spectrum, rfft
 from fraug.synth import SynthSpec, generate
 
@@ -35,12 +35,11 @@ describe("freq_mask 0.2", freq_mask(x, 0.2, rng))
 partner = np.roll(x, 36, axis=1)
 describe("freq_mix 0.2", freq_mix(x, partner, 0.2, rng))
 
-# The dispatcher takes one WindowSample and covers the time-domain
-# baselines too.
-sample = WindowSample.split(x, 96)
+# expand_dataset dispatches on the spec and covers the time-domain
+# baselines too. A factor of 2 gives the original, then one copy.
+one = Windows(x[None], 96, np.zeros(1, int))
 for kind in ("noise", "flip", "warp", "time_mask_random"):
-    out = apply_augment(sample, AugmentSpec(kind=kind), rng)
-    describe(kind, out.concat())
+    describe(kind, expand_dataset(one, AugmentSpec(kind=kind), 2, rng).data[1])
 
 # ASD averages the nearest pool windows, weighted by softmin DTW distance.
 pool = x + rng.normal(0, 0.3, (8, 1, 144))

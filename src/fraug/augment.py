@@ -7,7 +7,7 @@ it, so the data-label pair stays consistent. Time-domain baselines,
 ASD averaging and MBB (one block draw per window) are for comparison.
 apply_augment alone turns a dataset.WindowSample into that array and
 back, drawing mixing partners from a Windows pool; expand_dataset alone
-makes augmented copies of a set, for training steps and expansions.
+makes augmented copies, for training steps, expansions and fraug augment.
 """
 
 from dataclasses import dataclass

@@ -20,16 +20,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .augment import ALL_KINDS, MIN_WINDOW, MIX_KINDS, AugmentSpec, apply_augment
-from .dataset import (SPLIT_SCHEMES, Windows, WindowSample, load_csv, make_windows,
-                      split_and_normalize)
+from .augment import ALL_KINDS, MIN_WINDOW, MIX_KINDS, AugmentSpec, expand_dataset
+from .dataset import SPLIT_SCHEMES, Windows, load_csv, make_windows, split_and_normalize
 from .forecaster import DLinearModel, TrainConfig, evaluate, train
 from .experiments import run_coldstart, run_longterm, run_ttt
 from .spectral import amplitude_spectrum, rfft
 from .synth import SynthSpec, generate, write_csv
 
-# augment transforms one whole-series window, so there is no candidate
-# pool for asd to average over.
+# The kinds of fraug augment and fraug train, all but asd: augment's one
+# whole-series window leaves asd no pool, and in train every step would run
+# a pure-Python DTW against every training window, about 1800 s per window
+# at ETT-hourly scale. fraug run refuses asd under longterm for that reason.
 AUGMENT_KINDS = tuple(k for k in ALL_KINDS if k != "asd")
 PROTOCOLS = ("longterm", "coldstart", "ttt")
 # The least value of each bounded flag; fraug run's config keys read the same.
@@ -110,17 +111,16 @@ def cmd_augment(args):
     ds = load_csv(args.infile, date_column=args.date_column)
     _check_window([args.kind], ds.length, "--kind", f"the rows of --in {args.infile}")
     # Whole series as one window: first half look-back, rest horizon.
-    b = ds.length // 2
-    sample = WindowSample.split(ds.values, b)
+    b, start = ds.length // 2, np.zeros(1, int)
     rng = np.random.default_rng(args.seed)
     # Mixing kinds self-mix: a one-window pool, the series rolled by a quarter.
-    pool = (Windows(np.roll(ds.values, ds.length // 4, axis=1)[None], b, np.zeros(1, int))
+    pool = (Windows(np.roll(ds.values, ds.length // 4, axis=1)[None], b, start)
             if args.kind in MIX_KINDS else None)
-    out = apply_augment(sample, spec, rng, pool=pool)
-    write_csv(out.concat(), args.out, [args.date_column] + ds.channel_names, ds.timestamps)
+    out = expand_dataset(Windows(ds.values[None], b, start), spec, 2, rng, pool=pool).data[1]
+    write_csv(out, args.out, [args.date_column] + ds.channel_names, ds.timestamps)
     print(f"wrote {args.out}")
     if args.dump_spectrum:
-        _dump_spectrum(ds.values, out.concat(), ds.channel_names, args.dump_spectrum)
+        _dump_spectrum(ds.values, out, ds.channel_names, args.dump_spectrum)
         print(f"wrote {args.dump_spectrum}")
     return 0
 
@@ -189,10 +189,11 @@ def _check_config_types(config, flags=None):
     """Each value has its CONFIG default's type (dataset: str) and bound; a
     list is non-empty (kinds may be empty: the "none" control always runs)
     and its items have the default items' type and the bound. Then
-    coldstart and ttt take one horizon, ttt at least two parts,
-    0 < fraction <= 1, every kind accepts rate (and each rate_grid value
-    under select_rates) and its windows span augment.MIN_WINDOW[kind],
-    so a bad value fails before the dataset is loaded. A message names
+    coldstart and ttt take one horizon, ttt at least two parts, longterm
+    no asd, 0 < fraction <= 1, every kind accepts rate (and each
+    rate_grid value under select_rates) and its windows span
+    augment.MIN_WINDOW[kind], so a bad value fails before the dataset is
+    loaded. A message names
     the flag that set a key's value, where `flags` maps the key to one.
     """
     flags = flags or {}
@@ -218,6 +219,11 @@ def _check_config_types(config, flags=None):
                          f"{config['protocol']}, got {config['horizons']!r}")
     if config["protocol"] == "ttt" and config["parts"] < 2:
         raise ValueError(f"config key 'parts' must be >= 2, got {config['parts']}")
+    if config["protocol"] == "longterm" and "asd" in config["kinds"]:
+        where = "--kind asd" if "kinds" in flags else "config key 'kinds' holding asd"
+        raise ValueError(f"{where} does not suit protocol longterm: each training step "
+                         f"would run a DTW against every training window; use protocol "
+                         f"coldstart or ttt, which expand once from a small set")
     if not 0 < config["fraction"] <= 1:
         name = flags.get("fraction", "config key 'fraction'")
         raise ValueError(f"{name} must be in (0, 1], got {config['fraction']}")
@@ -371,7 +377,7 @@ def build_parser():
     p.add_argument("--scheme", choices=sorted(SPLIT_SCHEMES), default="generic")
     p.add_argument("--lookback", type=int, default=96)
     p.add_argument("--horizon", type=int, default=96)
-    p.add_argument("--kind", choices=ALL_KINDS, default="none")
+    p.add_argument("--kind", choices=AUGMENT_KINDS, default="none")
     p.add_argument("--rate", type=float, default=0.2)
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)

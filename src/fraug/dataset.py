@@ -13,7 +13,7 @@ CSV_BLOCK_ROWS rows are checked and parsed to floats in bulk.
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -159,24 +159,17 @@ def split_and_normalize(ds: TimeSeriesDataset, scheme="generic") -> TimeSeriesDa
     lengths = SPLIT_SCHEMES[scheme]
     t_total = ds.length
     if lengths is None:
-        train_end = int(t_total * 0.7)
-        val_end = int(t_total * 0.8)
-        values = ds.values
-        timestamps = ds.timestamps
+        train_end, val_end, end = int(t_total * 0.7), int(t_total * 0.8), t_total
     else:
-        train_len, val_len, test_len = lengths
-        needed = train_len + val_len + test_len
-        if t_total < needed:
+        train_end, val_end, end = accumulate(lengths)
+        if t_total < end:
             raise ValueError(
-                f"series of length {t_total} too short for scheme {scheme!r} "
-                f"(needs {needed})"
+                f"series of length {t_total} too short for scheme {scheme!r} (needs {end})"
             )
-        train_end = train_len
-        val_end = train_len + val_len
-        values = ds.values[:, :needed]
-        timestamps = ds.timestamps[:needed] if ds.timestamps is not None else None
-    if not 0 < train_end < val_end <= values.shape[1]:
+    if not 0 < train_end < val_end <= end:
         raise ValueError(f"invalid split bounds ({train_end}, {val_end})")
+    values = ds.values[:, :end]
+    timestamps = ds.timestamps[:end] if ds.timestamps is not None else None
 
     train = values[:, :train_end]
     mean = train.mean(axis=1)

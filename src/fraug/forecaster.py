@@ -70,7 +70,7 @@ class _FlatParams(dict):
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class DLinearModel:
     """DLinear forecaster; the four parameters are views of one flat vector.
 

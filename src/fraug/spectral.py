@@ -48,7 +48,7 @@ _REAL_N = 384  # at or below this, one real-table matmul per transform
 _BLOCK_POINTS = 1 << 15  # above _REAL_N, signal points transformed at a time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """One-sided complex spectrum of a real signal.
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraug
 from fraug import augment
 from fraug.augment import (ALL_KINDS, KEEP_TOP, AugmentSpec, apply_augment,
                            asd_augment, baseline_augment, decompose, dtw_distance,
@@ -689,7 +690,7 @@ def test_window_sample_named_only_at_the_boundary():
     """The window format lives in dataset; augment converts only in apply_augment."""
     paths = sorted(Path(augment.__file__).parent.glob("*.py"))
     found = {p.name: name_uses(p.read_text()) for p in paths}
-    allowed = {"dataset.py", "cli.py", "augment.py"}
+    allowed = {"dataset.py", "augment.py"}
     assert not {name: uses for name, uses in found.items()
                 if uses and name not in allowed}
     assert set(found["augment.py"]) == {None, "apply_augment"}
@@ -697,12 +698,14 @@ def test_window_sample_named_only_at_the_boundary():
 
 def test_copies_made_only_by_expand_dataset():
     """apply_augment is named only in expand_dataset, which makes every
-    augmented copy, and in fraug augment's one whole-series window; the
-    trainer names neither it nor the per-window type."""
+    augmented copy, fraug augment's one whole-series window included, and
+    the package does not export it; the trainer names neither it nor the
+    per-window type."""
     paths = sorted(Path(augment.__file__).parent.glob("*.py"))
     callers = {(p.name, func) for p in paths
                for func in name_uses(p.read_text(), "apply_augment") if func is not None}
-    assert callers == {("augment.py", "expand_dataset"), ("cli.py", "cmd_augment")}
+    assert callers == {("augment.py", "expand_dataset")}
+    assert not hasattr(fraug, "apply_augment")
     source = Path(augment.__file__).with_name("forecaster.py").read_text()
     assert not name_uses(source, "apply_augment")
     assert not name_uses(source, "WindowSample")

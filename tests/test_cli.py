@@ -316,6 +316,14 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not ckpt.exists()
 
+    def test_asd_not_offered(self, tmp_path, capsys):
+        # Per-step asd runs a DTW against every training window.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("train", "--dataset", str(tmp_path / "nope.csv"),
+                    "--out", str(tmp_path / "model.json"), "--kind", "asd")
+        assert exc.value.code == 2
+        assert "invalid choice: 'asd'" in capsys.readouterr().err
+
     def test_mbb_window_named_before_reading(self, tmp_path, capsys):
         ckpt = tmp_path / "model.json"
         rc = run_cli("train", "--dataset", str(tmp_path / "nope.csv"), "--out", str(ckpt),
@@ -435,6 +443,46 @@ class TestRun:
             assert cell["mae"] == pytest.approx(np.mean(cell["extra"]["part_maes"]))
             # Early stopping validates on training windows; the report says so.
             assert cell["extra"]["val_in_sample"] is True
+
+    def test_coldstart_runs(self, tmp_path):
+        src = make_series(tmp_path)
+        out_dir = tmp_path / "runC"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "protocol": "coldstart", "dataset": str(src), "lookback": 16,
+            "horizons": [8], "kinds": ["freq_mask"], "factors": [1, 2],
+            "fraction": 0.1, "epochs": 1, "out": str(out_dir),
+        }))
+        assert run_cli("run", "--config", str(config)) == 0
+        report = json.loads((out_dir / "report.json").read_text(),
+                            parse_constant=reject_constant)
+        assert report["protocol"] == "coldstart"
+        assert [c["kind"] for c in report["cells"]] == ["none", "freq_mask"]
+        for cell in report["cells"]:
+            # 400 rows: 280 training columns, 256 windows, the last 25 kept.
+            assert cell["extra"]["factor"] in (1, 2)
+            assert cell["extra"]["n_train"] == 25
+
+    @pytest.mark.parametrize("flags,config,message", [
+        (["--kind", "asd"], {}, "--kind asd does not suit"),
+        ([], {"kinds": ["freq_mask", "asd"]}, "config key 'kinds' holding asd does not suit"),
+    ], ids=["flag", "config"])
+    def test_asd_refused_for_longterm_before_loading(self, tmp_path, capsys, flags,
+                                                     config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dataset": str(tmp_path / "absent.csv"), **config}))
+        rc = run_cli("run", "--config", str(path), "--out", str(tmp_path / "run"), *flags)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {message} protocol longterm: each training step would run a DTW "
+            f"against every training window; use protocol coldstart or ttt, which "
+            f"expand once from a small set\n")
+        assert not (tmp_path / "run").exists()
+        # The protocols that expand once keep asd.
+        for protocol in ("coldstart", "ttt"):
+            _check_config_types({**{k: d for k, (d, _) in CONFIG.items()},
+                                 "dataset": "absent.csv", "protocol": protocol,
+                                 "kinds": ["asd"]})
 
     def test_jobs_flag_removed(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

@@ -12,6 +12,7 @@ from fraug.dataset import (TimeSeriesDataset, Windows, make_windows,
 from fraug.forecaster import (DLinearModel, Metrics, TrainConfig, _Adam,
                               _FlatParams, evaluate, loss_and_grads,
                               moving_average_matrix, train)
+from fraug.spectral import rfft
 from fraug.synth import SynthSpec, generate
 
 from conftest import random_windows
@@ -330,6 +331,32 @@ class TestTrain:
         model = DLinearModel.init_random(b=4, h=2, seed=0)
         with pytest.raises(ValueError):
             train(model, [], linear_samples(2), TrainConfig())
+
+    def test_non_finite_step_loss_raises_before_the_step(self):
+        # Errors near 1e200 square to inf; the step that overflows is not applied.
+        model = DLinearModel.init_random(b=4, h=2, seed=0)
+        before = model.params().flat.copy()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="^divergence at epoch 0$"):
+            train(model, linear_samples(8, slope=1e200), linear_samples(4),
+                  self._cfg(max_epochs=1))
+        np.testing.assert_array_equal(model.params().flat, before)
+
+    def test_non_finite_validation_loss_raises(self):
+        # Finite training steps; only the validation errors overflow when squared.
+        model = DLinearModel.init_random(b=4, h=2, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="^divergence at epoch 0$"):
+            train(model, linear_samples(8), linear_samples(4, slope=1e200),
+                  self._cfg(max_epochs=1))
+
+
+@pytest.mark.parametrize("make", [lambda: DLinearModel.init_random(b=4, h=2),
+                                  lambda: rfft(np.arange(6.0))], ids=["model", "spectrum"])
+def test_equality_is_identity_and_hash_works(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, a, b}) == 2
 
 
 def reference_loss_and_grads(model, lookback, target):
