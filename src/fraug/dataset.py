@@ -167,7 +167,8 @@ def split_and_normalize(ds: TimeSeriesDataset, scheme="generic") -> TimeSeriesDa
                 f"series of length {t_total} too short for scheme {scheme!r} (needs {end})"
             )
     if not 0 < train_end < val_end <= end:
-        raise ValueError(f"invalid split bounds ({train_end}, {val_end})")
+        raise ValueError(f"series of length {t_total} too short for scheme {scheme!r}: split "
+                         f"bounds ({train_end}, {val_end}) leave a split empty")
     values = ds.values[:, :end]
     timestamps = ds.timestamps[:end] if ds.timestamps is not None else None
 

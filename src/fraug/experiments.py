@@ -60,7 +60,7 @@ class ExperimentReport:
     @classmethod
     def start(cls, protocol, dataset_id, b, horizons, kinds, seeds):
         """An empty report whose kinds begin with the "none" control; empty seeds raise."""
-        if not seeds:
+        if len(seeds) == 0:
             raise ValueError(f"seeds must be non-empty, got {seeds!r}")
         return cls(protocol=protocol, dataset_id=dataset_id, b=b, horizons=list(horizons),
                    kinds=["none"] + [k for k in kinds if k != "none"], seeds=list(seeds))
@@ -190,8 +190,8 @@ def run_coldstart(ds, h, kinds, b=96, fraction=0.01, factors=(2, 50),
     """
     report = ExperimentReport.start("coldstart", dataset_id, b, [h], kinds, seeds)
     # Bools are not counts here, as in fraug run's config check.
-    if not factors or any(isinstance(f, bool) or not isinstance(f, numbers.Integral)
-                          or f < 1 for f in factors):
+    if len(factors) == 0 or any(isinstance(f, bool) or not isinstance(f, numbers.Integral)
+                                or f < 1 for f in factors):
         raise ValueError(f"factors must be non-empty integers, each >= 1, got {factors!r}")
     all_train = make_windows(ds, "train", b, h)
     train_small = take_last_fraction(all_train, fraction)

@@ -22,16 +22,16 @@ in blocks of about _BLOCK_POINTS signal points into one preallocated
 result, so a long series holds one block's temporaries, not the
 stack's; blocking changes no bit.
 
-The complex FFT is a mixed-radix Cooley-Tukey recursion for lengths
-that factor into {2, 3, 5, 7}, with one recursive call per radix level:
-the input is viewed as p interleaved subsequences, all transformed by
-that one call, then combined with a cached twiddle table and one p x p
-DFT matrix product (radix 4 goes before 2, halving the levels for
-powers of two). Lengths up to _DIRECT_N, smooth or not, use a direct
-DFT matrix. Longer lengths that do not factor fall back to Bluestein's
-chirp-z algorithm, whose chirp and kernel spectrum are cached per
-length, so every length is handled exactly. The kernels are vectorized
-over leading axes so a whole batch of channels is transformed at once.
+The complex FFT is a mixed-radix Cooley-Tukey recursion with radix p
+the largest divisor of n up to _MAX_RADIX, one recursive call per
+level: the input is viewed as p interleaved subsequences, all
+transformed by that one call, then combined with a cached twiddle table
+and one p x p DFT matrix product. Lengths up to _DIRECT_N use a direct
+DFT matrix, longer ones with no such divisor Bluestein's chirp-z, whose
+chirp and kernel spectrum are cached per length. The kernels are
+vectorized over leading axes, so a whole batch of channels is
+transformed at once; a stack times a cached table (real table or direct
+DFT matrix) is one 2-D product over its rows, through _table_product.
 Every inverse ignores the imaginary parts of the DC and Nyquist bins.
 Cached tables are read-only, so no caller can corrupt later transforms
 through them.
@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-_RADICES = (4, 2, 3, 5, 7)
+_MAX_RADIX = 8  # the radix is n's largest divisor up to this
 _DIRECT_N = 64  # at or below this, use a direct DFT matrix
 _REAL_N = 384  # at or below this, one real-table matmul per transform
 _BLOCK_POINTS = 1 << 15  # above _REAL_N, signal points transformed at a time
@@ -60,13 +60,16 @@ class Spectrum:
     origin_len: int
 
     def __post_init__(self):
+        n = self.origin_len
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"malformed spectrum: origin_len must be an integer >= 1, got {n!r}")
         bins = np.asarray(self.bins, dtype=np.complex128)
         object.__setattr__(self, "bins", bins)
-        expected = self.origin_len // 2 + 1
+        expected = n // 2 + 1
         if bins.ndim != 1 or len(bins) != expected:
             raise ValueError(
                 f"malformed spectrum: {len(bins)} bins for origin_len "
-                f"{self.origin_len}, expected {expected}"
+                f"{n}, expected {expected}"
             )
 
 
@@ -145,11 +148,9 @@ def _fft(x):
     """Complex FFT along the last axis of x."""
     n = x.shape[-1]
     if n <= _DIRECT_N:
-        return x @ _dft_matrix(n)
-    for p in _RADICES:
-        if n % p == 0:
-            return _fft_radix(x, p)
-    return _fft_bluestein(x)
+        return _table_product(x, _dft_matrix(n))
+    p = max((p for p in range(2, _MAX_RADIX + 1) if n % p == 0), default=None)
+    return _fft_bluestein(x) if p is None else _fft_radix(x, p)
 
 
 def _fft_radix(x, p):
@@ -266,7 +267,9 @@ def irfft_signal(bins, origin_len):
 def rfft(signal) -> Spectrum:
     """Forward one-sided DFT of a real signal (no normalization)."""
     x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1 or len(x) == 0:
+    if x.ndim != 1:
+        raise ValueError(f"rfft takes one 1-D signal, got shape {x.shape}")
+    if len(x) == 0:
         raise ValueError("empty input")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite sample")

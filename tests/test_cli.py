@@ -276,6 +276,19 @@ class TestSpectrum:
             assert out.read_bytes() == buf.getvalue().encode()
 
 
+@pytest.mark.parametrize("command", [
+    ["train", "--lookback", "1", "--horizon", "1", "--out", "model.json"],
+    ["run", "--out", "run"]], ids=["train", "run"])
+def test_three_row_series_named_by_length_and_scheme(tmp_path, monkeypatch, capsys, command):
+    src = make_series(tmp_path, length=3)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*command, "--dataset", str(src)) == 1
+    assert capsys.readouterr().err == ("error: series of length 3 too short for scheme "
+                                       "'generic': split bounds (2, 2) leave a split empty\n")
+    assert not (tmp_path / command[-1]).exists()
+
+
 class TestTrain:
     def test_writes_checkpoint(self, tmp_path, capsys):
         src = make_series(tmp_path)

@@ -313,6 +313,42 @@ def test_make_windows_too_short():
         make_windows(ds, "train", 2, 3)
 
 
+@pytest.mark.parametrize("b,h,stride,message", [
+    (0, 4, 1, "b and h must be >= 1"), (4, 0, 1, "b and h must be >= 1"),
+    (4, 4, 0, "stride must be >= 1")])
+def test_make_windows_rejects_lengths_below_one(b, h, stride, message):
+    ds = split_and_normalize(_synthetic_ds(length=100))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_windows(ds, "train", b, h, stride)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 6])
+def test_generic_split_too_short_names_length_and_scheme(length):
+    # 0.7 and 0.8 of the length floor to the same bound: one split is empty.
+    with pytest.raises(ValueError, match=re.escape(
+            f"series of length {length} too short for scheme 'generic': split bounds")):
+        split_and_normalize(_synthetic_ds(length=length), scheme="generic")
+
+
+def test_fixed_scheme_too_short_names_length_and_scheme():
+    with pytest.raises(ValueError, match=re.escape(
+            "series of length 1000 too short for scheme 'ett-hourly' (needs 14400)")):
+        split_and_normalize(_synthetic_ds(), scheme="ett-hourly")
+
+
+def test_unknown_scheme_rejected():
+    with pytest.raises(ValueError, match="^unknown split scheme 'weekly'$"):
+        split_and_normalize(_synthetic_ds(), scheme="weekly")
+
+
+def test_split_range_needs_bounds_and_a_known_split():
+    ds = _synthetic_ds(length=100)
+    with pytest.raises(ValueError, match="no split bounds; call split_and_normalize first"):
+        ds.split_range("train")
+    with pytest.raises(ValueError, match="^unknown split 'dev'$"):
+        split_and_normalize(ds).split_range("dev")
+
+
 def copied_windows(values, lo, hi, b, h, stride=1):
     """Reference: a private copy of every window, the layout rule written out by hand."""
     return [(values[:, s: s + b].copy(), values[:, s + b: s + b + h].copy(), s)

@@ -320,11 +320,43 @@ class TestTtt:
     (run_ttt, dict(h=4, parts=3, seeds=[]), "seeds"),
     (run_coldstart, dict(h=8, factors=(2.5,)), "factors"),
     (run_coldstart, dict(h=8, factors=(2, True)), "factors"),
+    (run_longterm, dict(horizons=[8], seeds=np.array([], int)), "seeds"),
+    (run_coldstart, dict(h=8, factors=np.array([], int)), "factors"),
 ])
 def test_empty_seeds_or_bad_factors_rejected_before_training(calls, run, kwargs, name):
     with pytest.raises(ValueError, match=f"^{name} must be non-empty"):
         run(small_dataset(), kinds=["freq_mask"], b=8, cfg=quick_cfg(), **kwargs)
     assert calls == {"train": 0, "factors": []}
+
+
+def _strict_report(report, out_dir):
+    """report.json as written to out_dir, parsed as strict JSON, without wall_clock_s."""
+    out_dir.mkdir()
+    report.write(out_dir)
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads((out_dir / "report.json").read_text(), parse_constant=reject)
+    del doc["wall_clock_s"]
+    return doc
+
+
+@pytest.mark.parametrize("seeds", [[0], [0, 1]])
+def test_numpy_array_arguments_give_the_plain_int_report(tmp_path, seeds):
+    ds = small_dataset()
+    runs = {
+        "longterm": lambda seeds, sizes: run_longterm(
+            ds, horizons=sizes, kinds=["freq_mask"], b=16, cfg=quick_cfg(), seeds=seeds,
+            select_rates=False),
+        "coldstart": lambda seeds, sizes: run_coldstart(
+            ds, h=8, kinds=["freq_mask"], b=16, fraction=0.2, factors=sizes,
+            cfg=quick_cfg(), seeds=seeds),
+    }
+    for name, run in runs.items():
+        plain = _strict_report(run(seeds, [8]), tmp_path / f"{name}-plain")
+        arrays = _strict_report(run(np.array(seeds), np.array([8])), tmp_path / f"{name}-np")
+        assert arrays == plain
 
 
 @pytest.mark.parametrize("run,kwargs,message", [

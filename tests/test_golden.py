@@ -80,11 +80,12 @@ def rerun(synth, runs, workdir):
     assert main(synth) == 0
     results = []
     for run in runs:
+        argv = run["argv"]
         if "config" in run:
-            (workdir / run["argv"][-1]).write_text(json.dumps(run["config"]))
-        assert main(run["argv"]) == 0, run["argv"]
-        if run["argv"][0] == "augment":
-            paths = [workdir / run["argv"][i + 1] for i in (7, 9)]
+            (workdir / argv[-1]).write_text(json.dumps(run["config"]))
+        assert main(argv) == 0, argv
+        if argv[0] == "augment":
+            paths = [workdir / argv[argv.index(flag) + 1] for flag in ("--out", "--dump-spectrum")]
         else:
             paths = sorted((workdir / run["config"]["out"]).iterdir())
         results.append({path.name: read_output(path) for path in paths})
@@ -146,14 +147,12 @@ def test_outputs_match_the_golden_record(tmp_path, monkeypatch, capsys):
 
 def write_record(workdir):
     runs = planned_runs()
-    for run, outputs in zip(runs, rerun(SYNTH, runs, workdir)):
-        run["outputs"] = outputs
     # One line per output, so a changed record diffs output by output.
     lines = []
-    for run in runs:
-        outputs = ",\n".join(f"   {json.dumps(name)}: {json.dumps(value)}"
-                             for name, value in run.pop("outputs").items())
-        lines.append(f'  {json.dumps(run)[:-1]}, "outputs": {{\n{outputs}}}}}')
+    for run, outputs in zip(runs, rerun(SYNTH, runs, workdir)):
+        body = ",\n".join(f"   {json.dumps(name)}: {json.dumps(value)}"
+                          for name, value in outputs.items())
+        lines.append(f'  {json.dumps(run)[:-1]}, "outputs": {{\n{body}}}}}')
     RECORD.parent.mkdir(exist_ok=True)
     RECORD.write_text(f'{{"numpy": {json.dumps(np.__version__)}, "synth": {json.dumps(SYNTH)},\n'
                       f' "runs": [\n' + ",\n".join(lines) + "]}\n")

@@ -11,7 +11,7 @@ from fraug import spectral
 from fraug.spectral import (Spectrum, amplitude_spectrum, irfft, irfft_signal,
                             rfft, rfft_bins)
 
-from conftest import naive_irfft, naive_rfft
+from conftest import naive_dft, naive_irfft, naive_rfft
 
 
 def test_constant_signal_has_only_dc():
@@ -83,6 +83,21 @@ def test_every_path_matches_complex_fft(n, shape):
     back = irfft_signal(want, n)
     assert back.shape == x.shape and back.dtype == np.float64
     assert _normwise(back, x) <= 1e-12
+
+
+# First radix under the largest-divisor-up-to-8 rule, then the rest of
+# the chain: 64 direct; 65 -> 5; 66 -> 6; 67 Bluestein; 68 -> 4;
+# 96 -> 8; 99 -> 3; 126 -> 7; 134 -> 2, Bluestein at 67; 216 -> 8;
+# 250 -> 5; 343 -> 7; 408 -> 8; 512 -> 8, direct at 64; 871 = 13*67
+# Bluestein; 1000 -> 8, 5; 1742 -> 2, Bluestein at 871.
+@pytest.mark.parametrize("n", [64, 65, 66, 67, 68, 96, 99, 126, 134, 216, 250, 343,
+                               408, 512, 871, 1000, 1742])
+def test_complex_fft_matches_naive_dft(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    want = np.array([naive_dft(row) for row in x])
+    assert _normwise(spectral._fft(x), want) <= 1e-12
+    assert _normwise(spectral._ifft(want), x) <= 1e-12
 
 
 @pytest.mark.parametrize("block_rows", [1, 4, None], ids=["1-row", "4-rows", "default"])
@@ -195,6 +210,13 @@ def test_empty_input_rejected():
         rfft([])
 
 
+@pytest.mark.parametrize("signal", [np.ones((2, 3)), np.ones((1, 0)), 5.0])
+def test_input_that_is_not_one_signal_names_its_shape(signal):
+    shape = np.shape(signal)
+    with pytest.raises(ValueError, match=re.escape(f"1-D signal, got shape {shape}")):
+        rfft(signal)
+
+
 def test_non_finite_rejected():
     with pytest.raises(ValueError, match="non-finite sample"):
         rfft([1.0, np.nan, 2.0])
@@ -204,6 +226,26 @@ def test_malformed_spectrum_rejected():
     bins = np.array([1.0 + 1.0j, 0.0, 0.0])
     with pytest.raises(ValueError, match="malformed spectrum"):
         irfft(Spectrum(bins=bins, origin_len=4))
+
+
+def test_imaginary_nyquist_rejected():
+    bins = np.array([1.0, 0.5, 2.0 - 1.0j])
+    with pytest.raises(ValueError, match="malformed spectrum: Nyquist bin"):
+        irfft(Spectrum(bins=bins, origin_len=4))
+
+
+# Each bin count matches origin_len // 2 + 1, so only origin_len is wrong.
+@pytest.mark.parametrize("origin_len,bins", [(0, 1), (-1, 0), (-2, 0), (2.5, 2), (True, 1),
+                                             (4.0, 3), ("4", 3)])
+def test_origin_len_that_is_not_a_length_rejected(origin_len, bins):
+    with pytest.raises(ValueError, match=re.escape(
+            f"malformed spectrum: origin_len must be an integer >= 1, got {origin_len!r}")):
+        Spectrum(bins=np.ones(bins, dtype=complex), origin_len=origin_len)
+
+
+def test_numpy_integer_origin_len_accepted():
+    x = np.arange(5.0)
+    np.testing.assert_allclose(irfft(Spectrum(rfft(x).bins, np.int64(5))), x, atol=1e-12)
 
 
 def test_wrong_bin_count_rejected():
