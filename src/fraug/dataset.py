@@ -80,10 +80,8 @@ class WindowSample:
 def _check_rows(block, rownum, path, header, value_cols):
     """Raise ValueError naming the first row of the block, numbered from
     rownum, whose cell count differs from the header's or one of whose
-    value cells is not a finite number. A block in which no row fails
-    these checks raises too, naming its rows: it reaches here only
-    because the bulk parse rejected it."""
-    first = rownum
+    value cells is not a finite number. Each cell is read with load_csv's
+    bulk cast, so a block that cast rejected always has such a row."""
     for rownum, row in enumerate(block, start=rownum):
         if len(row) != len(header):
             raise ValueError(
@@ -92,13 +90,11 @@ def _check_rows(block, rownum, path, header, value_cols):
         for i in value_cols:
             where = f"{path}: row {rownum}, column {header[i]!r}"
             try:
-                finite = math.isfinite(float(row[i]))
+                value = np.array(row[i], dtype=np.float64)
             except ValueError:
                 raise ValueError(f"{where}: cannot parse {row[i]!r} as a number") from None
-            if not finite:
+            if not np.isfinite(value):
                 raise ValueError(f"{where}: {row[i]!r} is not a finite number")
-    raise ValueError(f"{path}: numpy rejected rows {first}-{rownum}, "
-                     f"but float() accepts each of their cells")
 
 
 def load_csv(path, date_column="date") -> TimeSeriesDataset:
@@ -109,10 +105,10 @@ def load_csv(path, date_column="date") -> TimeSeriesDataset:
     file, and each CSV_BLOCK_ROWS rows are checked and parsed as one
     block, so one block of cell strings is alive at a time; only a
     block that fails is scanned again row by row, to name its first bad
-    row.
+    row. A leading UTF-8 byte-order mark is skipped.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise FileNotFoundError(f"cannot open dataset file {path}: {exc}") from exc
     with fh:
@@ -194,9 +190,10 @@ def split_and_normalize(ds: TimeSeriesDataset, scheme="generic") -> TimeSeriesDa
 class Windows:
     """n windows as one (n, C, b+h) array ``data`` plus their start columns.
 
-    ``ws[k]`` is window k as a WindowSample of views, ``ws[i:j]`` a set
-    of views, ``ws[idx]`` for an index array a set copied by one fancy
-    index (starts included), and iteration yields WindowSamples in order.
+    ``ws[k]`` for an integer k is window k as a WindowSample of views,
+    ``ws[i:j]`` a set of views, ``ws[idx]`` for a list or index array a
+    set copied by one fancy index (starts included), and iteration
+    yields WindowSamples in order.
     ``ws.lookback`` and ``ws.horizon`` are (n, C, b) and (n, C, h) views;
     ``ws.lookback[idx]`` is one fancy index, a contiguous copy of the
     look-backs at ``idx``.
@@ -219,9 +216,9 @@ class Windows:
         return len(self.data)
 
     def __getitem__(self, k):
-        if isinstance(k, (slice, np.ndarray)):
-            return Windows(self.data[k], self.b, self.starts[k])
-        return WindowSample.split(self.data[k], self.b, int(self.starts[k]))
+        if isinstance(k, (int, np.integer)):
+            return WindowSample.split(self.data[k], self.b, int(self.starts[k]))
+        return Windows(self.data[k], self.b, self.starts[k])
 
     def __iter__(self):
         return (self[k] for k in range(len(self)))
@@ -231,20 +228,20 @@ def make_windows(ds: TimeSeriesDataset, split, b, h, stride=1):
     """Produce (look-back, horizon) samples from one split.
 
     With stride 1 the count is split_length - b - h (the final alignable
-    window is dropped, matching the benchmark sample arithmetic). The
-    Windows are a read-only view of ds.values (see span_windows).
+    window is dropped, matching the benchmark sample arithmetic); a split
+    that holds no window is an error. The Windows are a read-only view
+    of ds.values (see span_windows).
     """
     if b < 1 or h < 1:
         raise ValueError("b and h must be >= 1")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     lo, hi = ds.split_range(split)
-    split_len = hi - lo
-    if b + h > split_len:
-        raise ValueError(
-            f"window exceeds split: b+h = {b + h} > {split_len} ({split})"
-        )
-    return span_windows(ds.values, lo, hi, b, h, stride)
+    windows = span_windows(ds.values, lo, hi, b, h, stride)
+    if not len(windows):
+        raise ValueError(f"window exceeds split: b+h = {b + h} leaves no window "
+                         f"in the {split} split of length {hi - lo}")
+    return windows
 
 
 def span_windows(values, lo, hi, b, h, stride=1):

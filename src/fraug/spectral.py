@@ -32,9 +32,9 @@ chirp and kernel spectrum are cached per length. The kernels are
 vectorized over leading axes, so a whole batch of channels is
 transformed at once; a stack times a cached table (real table or direct
 DFT matrix) is one 2-D product over its rows, through _table_product.
-Every inverse ignores the imaginary parts of the DC and Nyquist bins.
-Cached tables are read-only, so no caller can corrupt later transforms
-through them.
+Every forward path makes the DC and Nyquist bins exactly real, and
+every inverse ignores their imaginary parts. Cached tables are
+read-only, so no caller can corrupt later transforms through them.
 """
 
 from dataclasses import dataclass
@@ -141,6 +141,7 @@ def _packed_twiddles(n):
     # A = (1 - i*W)/2 and B = (1 + i*W)/2 with W[k] = exp(-2j*pi*k/n),
     # k = 0..n/2: the split of a packed half-length FFT (even n).
     w = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
+    w[-1] = -1.0  # exactly, so that the Nyquist bin is exactly real
     return _frozen(0.5 * (1 - 1j * w)), _frozen(0.5 * (1 + 1j * w))
 
 
@@ -211,8 +212,8 @@ def _table_product(x, table):
 def _by_row_blocks(transform, x, n, width, dtype):
     # transform of x viewed as (rows, x.shape[-1]), about _BLOCK_POINTS
     # signal points at a time, into one preallocated (..., width) result.
-    # Input that fits one block goes through whole: a 1-D signal and the
-    # same signal as a (1, n) row can differ in the last bit.
+    # Input that fits one block goes through whole, which skips the
+    # result buffer and one copy.
     rows = x.reshape(-1, x.shape[-1])
     step = max(1, _BLOCK_POINTS // n)
     if len(rows) <= step:
@@ -226,7 +227,9 @@ def _by_row_blocks(transform, x, n, width, dtype):
 def _rfft_long(x, n):
     if n % 2 == 0:
         return _rfft_packed(x)
-    return _fft(np.asarray(x, dtype=np.complex128))[..., : n // 2 + 1]
+    bins = _fft(np.asarray(x, dtype=np.complex128))[..., : n // 2 + 1]
+    bins[..., 0].imag = 0.0  # the complex FFT leaves rounding there
+    return bins
 
 
 def _irfft_long(bins, n):

@@ -171,12 +171,15 @@ def test_malformed_csv_messages(tmp_path, text, message):
         load_csv(p)
 
 
-def test_block_without_a_bad_row_still_raises():
-    # A block reaches _check_rows only when the bulk parse rejected it; if
-    # no row fails on its own, it must still raise, not return.
-    with pytest.raises(ValueError, match=r"^d\.csv: numpy rejected rows 2-3, but float\(\) "
-                                         r"accepts each of their cells$"):
-        dataset._check_rows([["t0", "1.0"], ["t1", "2.0"]], 2, "d.csv", ["date", "a"], [1])
+def test_byte_order_mark_loads_like_the_file_without_it(tmp_path):
+    text = "date,a,b\nt0,1.0,4.0\nt1,2.5,-5.0\n".encode()
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    a, b = load_csv(plain), load_csv(marked)
+    assert b.channel_names == a.channel_names == ["a", "b"]
+    assert b.timestamps == a.timestamps == ["t0", "t1"]
+    assert b.values.tobytes() == a.values.tobytes()
 
 
 @pytest.mark.parametrize("length", [48, 49, 50])
@@ -311,6 +314,20 @@ def test_make_windows_too_short():
                            split_bounds=(4, 4))
     with pytest.raises(ValueError, match="window exceeds split"):
         make_windows(ds, "train", 2, 3)
+
+
+@pytest.mark.parametrize("stride", [1, 8])
+def test_split_of_exactly_b_plus_h_columns_holds_no_window(stride):
+    # The final alignable window is dropped, so b+h columns hold none.
+    ds = TimeSeriesDataset(values=np.arange(30.0)[None], channel_names=["x"],
+                           split_bounds=(10, 20))
+    with pytest.raises(ValueError, match=re.escape(
+            "window exceeds split: b+h = 10 leaves no window in the val split of length 10")):
+        make_windows(ds, "val", 6, 4, stride)
+    ds.split_bounds = (11, 20)
+    ws = make_windows(ds, "train", 6, 4, stride)
+    assert len(ws) == 1 and ws.starts.tolist() == [0]
+    np.testing.assert_array_equal(ws[0].concat(), ds.values[:, :10])
 
 
 @pytest.mark.parametrize("b,h,stride,message", [
@@ -450,6 +467,19 @@ def test_windows_index_array_is_one_stacked_set():
     np.testing.assert_array_equal(got.starts, np.stack([ws.starts[i] for i in idx]))
     assert_windows_equal(got, [(w.lookback, w.horizon, w.start_index)
                                for w in (ws[int(i)] for i in idx)])
+
+
+@pytest.mark.parametrize("index", [[4, 0, 2], []], ids=["list", "empty"])
+def test_windows_list_index_is_a_set_like_an_index_array(index):
+    values = np.arange(60.0).reshape(2, 30)
+    ws = span_windows(values, 3, 30, 5, 3, stride=2)
+    got, want = ws[index], ws[np.array(index, dtype=np.intp)]
+    assert isinstance(got, Windows) and got.b == 5
+    np.testing.assert_array_equal(got.data, want.data)
+    np.testing.assert_array_equal(got.starts, want.starts)
+    for k in (2, np.int64(2), np.intp(-1)):
+        assert isinstance(ws[k], WindowSample)
+    assert ws[np.int64(2)].start_index == ws[2].start_index == 7
 
 
 def test_take_last_fraction_of_a_set_is_a_slice():

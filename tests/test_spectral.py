@@ -133,7 +133,9 @@ def test_inverse_ignores_imaginary_dc_and_nyquist(n):
     assert _normwise(irfft_signal(bins, n), x) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 24, 191, 192, spectral._REAL_N])
+# Above _REAL_N: the packed split for even n, the complex FFT for odd n.
+@pytest.mark.parametrize("n", [2, 24, 191, 192, spectral._REAL_N,
+                               386, 400, 401, 432, 816, 17420, 17421])
 def test_real_table_dc_and_nyquist_bins_are_real(n):
     bins = rfft_bins(np.random.default_rng(n).normal(size=(4, 3, n)))
     assert np.all(bins[..., 0].imag == 0)
@@ -179,6 +181,17 @@ def test_round_trip_random(n, seed):
 def test_round_trip_long_windows(n):
     rng = np.random.default_rng(n)
     x = rng.normal(size=n) * 10
+    back = irfft(rfft(x))
+    assert np.max(np.abs(back - x)) < 1e-9 * (1 + np.max(np.abs(x)))
+
+
+# Spectra whose DC or Nyquist bin the complex FFT or the packed split once
+# left with an imaginary part above irfft's 1e-12 check.
+@pytest.mark.parametrize("n,scale,shift", [(17420, 1, 1), (400, 1000, 0), (432, 1000, 0),
+                                           (401, 1000, 0)])
+@pytest.mark.parametrize("seed", range(5))
+def test_round_trip_large_values_long_windows(n, scale, shift, seed):
+    x = np.random.default_rng(seed).normal(size=n) * scale + shift
     back = irfft(rfft(x))
     assert np.max(np.abs(back - x)) < 1e-9 * (1 + np.max(np.abs(x)))
 
