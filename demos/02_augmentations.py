@@ -37,7 +37,7 @@ describe("freq_mix 0.2", freq_mix(x, partner, 0.2, rng))
 
 # expand_dataset dispatches on the spec and covers the time-domain
 # baselines too. A factor of 2 gives the original, then one copy.
-one = Windows(x[None], 96, np.zeros(1, int))
+one = Windows(x[None], 96)
 for kind in ("noise", "flip", "warp", "time_mask_random"):
     describe(kind, expand_dataset(one, AugmentSpec(kind=kind), 2, rng).data[1])
 

@@ -10,6 +10,7 @@ back, drawing mixing partners from a Windows pool; expand_dataset alone
 makes augmented copies, for training steps, expansions and fraug augment.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,8 @@ class AugmentSpec:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
+        if isinstance(self.rate, bool):
+            raise ValueError(f"rate must be a number, got {self.rate!r}")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"rate must be in [0, 1], got {self.rate}")
         if self.kind in MIX_KINDS and self.rate > 0.5:
@@ -138,37 +141,53 @@ def baseline_augment(x, b, kind, rng, mu=0.2):
 
 
 def dtw_distance(a, b):
-    """Classic DTW with absolute-difference point cost, full window."""
+    """Classic DTW with absolute-difference point cost, full window.
+
+    a (..., n) and b (..., m) are stacks whose leading axes broadcast;
+    1-D inputs give a float, stacks an array of one distance per pair.
+    The accumulated-cost table is filled one anti-diagonal i + j = d at
+    a time, from the two diagonals before it. Each cell adds its cost to
+    the minimum of the same three neighbours as a row-by-row fill, so
+    for finite input the bits are the same.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
+    n, m = a.shape[-1], b.shape[-1]
+    if n == 0 or m == 0:
         raise ValueError("empty series")
-    n, m = len(a), len(b)
-    cost = np.abs(a[:, None] - b[None, :])
-    acc = np.full((n + 1, m + 1), np.inf)
-    acc[0, 0] = 0.0
-    for i in range(1, n + 1):
-        row = acc[i]
-        prev = acc[i - 1]
-        ci = cost[i - 1]
-        for j in range(1, m + 1):
-            row[j] = ci[j - 1] + min(prev[j], row[j - 1], prev[j - 1])
-    return float(acc[n, m])
+    # Diagonal d is held as acc[i, d - i] for i = 0..n: acc[0, 0] is 0, and
+    # cells off the table or on its border row and column are inf.
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (n + 1,)
+    before, last = np.full(shape, np.inf), np.full(shape, np.inf)
+    before[..., 0] = 0.0
+    b_rev = b[..., ::-1]
+    for d in range(2, n + m + 1):
+        lo, hi = max(1, d - m), min(n, d - 1)
+        # Cell (i, d - i) for i = lo..hi; b_rev[m - d + i] is b[d - i - 1].
+        cost = np.abs(a[..., lo - 1:hi] - b_rev[..., m - d + lo:m - d + hi + 1])
+        step = np.minimum(np.minimum(last[..., lo - 1:hi], last[..., lo:hi + 1]),
+                          before[..., lo - 1:hi])
+        cur = np.full(shape, np.inf)
+        np.add(cost, step, out=cur[..., lo:hi + 1])
+        before, last = last, cur
+    out = last[..., n]
+    return float(out) if out.ndim == 0 else out
 
 
 def asd_augment(x, pool, k=5):
     """Distance-weighted average of the k pool windows nearest to x.
 
     pool is an (n, C, L) array of candidate windows. Distance is DTW,
-    summed over channels; weights are softmin with temperature = mean
-    of the k distances.
+    one call per candidate for all channels, summed over the channels in
+    channel order; weights are softmin with temperature = mean of the k
+    distances.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(pool) < k:
         raise ValueError(f"pool of {len(pool)} samples too small for k={k}")
-    dists = np.asarray([sum(dtw_distance(x[ch], cand[ch]) for ch in range(len(x)))
-                        for cand in pool])
+    # cumsum adds in order; np.sum would add pairwise from 8 channels on.
+    dists = np.asarray([np.cumsum(dtw_distance(x, cand))[-1] for cand in pool])
     nearest = np.argsort(dists, kind="stable")[:k]
     d = dists[nearest]
     tau = d.mean()
@@ -272,7 +291,7 @@ def apply_augment(sample, spec: AugmentSpec, rng, pool=None):
         out = mbb_augment(x, MBB_PERIOD, rng)
     else:
         raise ValueError(f"unknown augmentation kind {kind!r}")
-    return WindowSample.split(out, b, sample.start_index)
+    return WindowSample.split(out, b)
 
 
 def expand_dataset(samples, spec: AugmentSpec, factor, rng, pool=None):
@@ -285,8 +304,8 @@ def expand_dataset(samples, spec: AugmentSpec, factor, rng, pool=None):
     seed. Mixing partners and asd neighbors come from the Windows set
     `pool`, by default the input set.
     """
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
+    if isinstance(factor, bool) or not isinstance(factor, numbers.Integral) or factor < 1:
+        raise ValueError(f"factor must be an integer >= 1, got {factor!r}")
     pool = samples if pool is None else pool
     n, b = len(samples), samples.b
     data = np.empty((factor * n,) + samples.data.shape[1:])
@@ -296,4 +315,4 @@ def expand_dataset(samples, spec: AugmentSpec, factor, rng, pool=None):
         copy = apply_augment(sample, spec, rng, pool=pool)
         data[k, :, :b] = copy.lookback
         data[k, :, b:] = copy.horizon
-    return Windows(data, b, np.tile(samples.starts, factor))
+    return Windows(data, b)

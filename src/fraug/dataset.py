@@ -1,10 +1,10 @@
 """Benchmark CSV ingestion, normalization, splitting, and windowing.
 
 A set of windows is one Windows object: an (n, C, b+h) array whose
-window k is a look-back (its first b columns) followed by a horizon,
-plus the start column of each window; it is the one set type. A
-training batch is one fancy index into that array; WindowSample is the
-single-window view, the type augment.apply_augment takes and returns.
+window k is a look-back (its first b columns) followed by a horizon;
+it is the one set type. A training batch is one fancy index into that
+array; WindowSample is the single-window view, the type
+augment.apply_augment takes and returns.
 
 load_csv has one parser: csv.reader streams the file, and each
 CSV_BLOCK_ROWS rows are checked and parsed to floats in bulk.
@@ -61,7 +61,9 @@ class TimeSeriesDataset:
 
 @dataclass(eq=False)
 class WindowSample:
-    """One (look-back, horizon) pair: lookback (C, b), horizon (C, h)."""
+    """One (look-back, horizon) pair: lookback (C, b), horizon (C, h).
+
+    start_index is a caller's label for the start column; the library never sets it."""
 
     lookback: np.ndarray
     horizon: np.ndarray
@@ -72,9 +74,9 @@ class WindowSample:
         return np.concatenate([self.lookback, self.horizon], axis=1)
 
     @classmethod
-    def split(cls, window, b, start_index=0):
+    def split(cls, window, b):
         """Sample viewing a (C, b+h) window: the first b columns are the look-back."""
-        return cls(lookback=window[:, :b], horizon=window[:, b:], start_index=start_index)
+        return cls(lookback=window[:, :b], horizon=window[:, b:])
 
 
 def _check_rows(block, rownum, path, header, value_cols):
@@ -188,21 +190,19 @@ def split_and_normalize(ds: TimeSeriesDataset, scheme="generic") -> TimeSeriesDa
 
 
 class Windows:
-    """n windows as one (n, C, b+h) array ``data`` plus their start columns.
+    """n windows as one (n, C, b+h) array ``data``, look-backs of b columns.
 
     ``ws[k]`` for an integer k is window k as a WindowSample of views,
     ``ws[i:j]`` a set of views, ``ws[idx]`` for a list or index array a
-    set copied by one fancy index (starts included), and iteration
-    yields WindowSamples in order.
+    set copied by one fancy index, and iteration yields WindowSamples in order.
     ``ws.lookback`` and ``ws.horizon`` are (n, C, b) and (n, C, h) views;
     ``ws.lookback[idx]`` is one fancy index, a contiguous copy of the
     look-backs at ``idx``.
     """
 
-    def __init__(self, data, b, starts):
+    def __init__(self, data, b):
         self.data = data
         self.b = b
-        self.starts = starts
 
     @property
     def lookback(self):
@@ -217,8 +217,8 @@ class Windows:
 
     def __getitem__(self, k):
         if isinstance(k, (int, np.integer)):
-            return WindowSample.split(self.data[k], self.b, int(self.starts[k]))
-        return Windows(self.data[k], self.b, self.starts[k])
+            return WindowSample.split(self.data[k], self.b)
+        return Windows(self.data[k], self.b)
 
     def __iter__(self):
         return (self[k] for k in range(len(self)))
@@ -254,11 +254,10 @@ def span_windows(values, lo, hi, b, h, stride=1):
     `values`.
     """
     n = b + h
-    starts = np.arange(lo, hi - n, stride)
     if hi - lo <= n:
-        return Windows(np.empty((0, values.shape[0], n)), b, starts)
+        return Windows(np.empty((0, values.shape[0], n)), b)
     data = sliding_window_view(values[:, lo:hi], n, axis=1).transpose(1, 0, 2)
-    return Windows(data[:hi - lo - n:stride], b, starts)
+    return Windows(data[:hi - lo - n:stride], b)
 
 
 def take_last_fraction(samples, fraction):

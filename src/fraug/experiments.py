@@ -254,15 +254,13 @@ def _ttt_train_set(samples, bounds, spec, rng):
     data = np.empty((at + sum(len(p) * c for p, c in zip(parts, schedule)),)
                     + samples.data.shape[1:])
     data[:at] = samples.data
-    starts = [samples.starts]
     for part, copies in zip(parts, schedule):
         if part:
             extra = expand_dataset(part, spec, copies + 1, rng)[len(part):]
             data[at:at + len(extra)] = extra.data
-            starts.append(extra.starts)
             at += len(extra)
             del extra
-    return Windows(data, samples.b, np.concatenate(starts))
+    return Windows(data, samples.b)
 
 
 def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,

@@ -19,6 +19,7 @@ follows the block, not the set.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,15 +187,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        # Counts are integers (numpy's too), but not bools.
+        for name, least in (("batch_size", 1), ("max_epochs", 0), ("patience", 1)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         # Written as not (...) so NaN fails too.
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not self.max_epochs >= 0:
-            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        if isinstance(self.learning_rate, bool) or not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
 
 
 @dataclass
@@ -288,6 +289,7 @@ def train(model, train_samples, val_samples, cfg: TrainConfig,
     """
     if not train_samples or not val_samples:
         raise ValueError("train and validation sets must be non-empty")
+    _check_horizon(model, train_samples, val_samples)
     augmenting = aug is not None and aug.kind != "none"
     rng = np.random.default_rng(cfg.seed)
     params = model.params().flat
@@ -326,6 +328,14 @@ def train(model, train_samples, val_samples, cfg: TrainConfig,
                 break
     params[...] = best
     return model, trace
+
+
+def _check_horizon(model, *sets):
+    """Raise ValueError if a Windows set's horizons are not model.h long."""
+    for samples in sets:
+        h = samples.horizon.shape[-1]
+        if h != model.h:
+            raise ValueError(f"horizon length {h} != model h {model.h}")
 
 
 def _score(model, samples, with_mae=False):
@@ -368,5 +378,6 @@ def evaluate(model, samples) -> Metrics:
     """
     if not samples:
         raise ValueError("empty sample set")
+    _check_horizon(model, samples)
     mse, mae = _score(model, samples, with_mae=True)
     return Metrics(mse=mse, mae=mae, n_samples=len(samples))

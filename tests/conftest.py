@@ -59,26 +59,24 @@ def make_sample(c=2, b=16, h=8, seed=0):
     return WindowSample(
         lookback=rng.normal(size=(c, b)),
         horizon=rng.normal(size=(c, h)),
-        start_index=0,
     )
 
 
 def random_windows(n, c, b, h, seed):
-    """n windows of standard-normal values as one Windows set, starts 0..n-1."""
+    """n windows of standard-normal values as one Windows set."""
     rng = np.random.default_rng(seed)
-    return Windows(rng.normal(size=(n, c, b + h)), b, np.arange(n))
+    return Windows(rng.normal(size=(n, c, b + h)), b)
 
 
 def assert_windows_equal(samples, reference):
-    """Window by window: equal look-back and horizon arrays and equal start.
+    """Window by window: equal look-back and horizon arrays.
 
-    reference is a sequence of (lookback, horizon, start_index) triples.
+    reference is a sequence of (lookback, horizon) pairs.
     """
     assert len(samples) == len(reference)
-    for sample, (look, hor, start) in zip(samples, reference):
+    for sample, (look, hor) in zip(samples, reference):
         np.testing.assert_array_equal(sample.lookback, look)
         np.testing.assert_array_equal(sample.horizon, hor)
-        assert sample.start_index == start
 
 
 def tone_sample(c, b, h, bin_k, amplitude=1.0):

@@ -36,8 +36,7 @@ def assert_samples_close(a, b, atol=1e-9):
 
 def one_window_pool(sample):
     """The Windows set holding one WindowSample, a mixing partner's pool."""
-    return Windows(sample.concat()[None], sample.lookback.shape[1],
-                   np.array([sample.start_index]))
+    return Windows(sample.concat()[None], sample.lookback.shape[1])
 
 
 def impulse_keep_mask(n_bins, mu, rng):
@@ -269,7 +268,59 @@ class TestBaselines:
             baseline_augment(window(), 16, "bogus", np.random.default_rng(0))
 
 
+def dtw_rows(a, b):
+    """Row-by-row DTW of two 1-D series, the fill dtw_distance replaced; its bit reference."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    n, m = len(a), len(b)
+    cost = np.abs(a[:, None] - b[None, :])
+    acc = np.full((n + 1, m + 1), np.inf)
+    acc[0, 0] = 0.0
+    for i in range(1, n + 1):
+        row, prev, ci = acc[i], acc[i - 1], cost[i - 1]
+        for j in range(1, m + 1):
+            row[j] = ci[j - 1] + min(prev[j], row[j - 1], prev[j - 1])
+    return float(acc[n, m])
+
+
+def asd_rows(x, pool, k=5):
+    """asd_augment through dtw_rows, channel distances added one by one in channel order."""
+    dists = []
+    for cand in pool:
+        total = 0.0
+        for ch in range(len(x)):
+            total += dtw_rows(x[ch], cand[ch])
+        dists.append(total)
+    dists = np.asarray(dists)
+    nearest = np.argsort(dists, kind="stable")[:k]
+    w = np.exp(-dists[nearest] / dists[nearest].mean())
+    w /= w.sum()
+    return sum(wi * pool[i] for wi, i in zip(w, nearest))
+
+
 class TestDtw:
+    @pytest.mark.parametrize("n", [24, 96, 192])
+    def test_stack_matches_row_loop_bits(self, n):
+        # A (C, n) window against a (k, C, n) pool: one call, every pair.
+        rng = np.random.default_rng(n)
+        x, pool = rng.normal(size=(7, n)), rng.normal(size=(2, 7, n))
+        got = dtw_distance(x, pool)
+        assert got.shape == (2, 7)
+        want = [[dtw_rows(x[ch], cand[ch]) for ch in range(7)] for cand in pool]
+        assert got.tolist() == want
+
+    def test_unequal_lengths_match_row_loop_bits(self):
+        rng = np.random.default_rng(17)
+        a, b = rng.normal(size=17), rng.normal(size=29)
+        for p, q in ((a, b), (b, a)):
+            got = dtw_distance(p, q)
+            assert isinstance(got, float) and got == dtw_rows(p, q)
+
+    def test_leading_axes_broadcast(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(3, 1, 17)), rng.normal(size=(1, 4, 29))
+        want = [[dtw_rows(a[i, 0], b[0, j]) for j in range(4)] for i in range(3)]
+        assert dtw_distance(a, b).tolist() == want
+
     def test_self_distance_zero(self):
         x = [1.0, 2.0, 3.0, 2.0]
         assert dtw_distance(x, x) == 0.0
@@ -321,6 +372,12 @@ class TestAsd:
         # Softmin: the zero-distance copy gets nearly all the weight.
         dev = np.max(np.abs(out - x))
         assert dev < np.max(np.abs(far - x)) * 0.2
+
+    @pytest.mark.parametrize("n", [24, 96])
+    def test_matches_row_loop_reference_bits(self, n):
+        rng = np.random.default_rng(n)
+        x, pool = rng.normal(size=(7, n)), rng.normal(size=(6, 7, n))
+        assert asd_augment(x, pool).tobytes() == asd_rows(x, pool).tobytes()
 
     def test_pool_too_small(self):
         with pytest.raises(ValueError, match="too small"):
@@ -453,10 +510,22 @@ def reference_mbb(x, period, rng):
 
 
 def originals(samples):
-    return [(s.lookback, s.horizon, s.start_index) for s in samples]
+    return [(s.lookback, s.horizon) for s in samples]
 
 
 class TestExpandDataset:
+    @pytest.mark.parametrize("factor", [2.0, True, 0, "2"])
+    def test_factor_that_is_not_a_count_rejected(self, factor):
+        with pytest.raises(ValueError, match=r"^factor must be an integer >= 1, got "):
+            expand_dataset(random_windows(3, 2, 16, 8, seed=0), AugmentSpec(kind="noise"),
+                           factor, np.random.default_rng(0))
+
+    def test_numpy_integer_factor_expands_like_an_int(self):
+        samples, spec = random_windows(3, 2, 16, 8, seed=0), AugmentSpec(kind="noise")
+        got = expand_dataset(samples, spec, np.int64(3), np.random.default_rng(0))
+        want = expand_dataset(samples, spec, 3, np.random.default_rng(0))
+        np.testing.assert_array_equal(got.data, want.data)
+
     def test_factor_one_returns_originals(self):
         samples = random_windows(3, 2, 16, 8, seed=0)
         out = expand_dataset(samples, AugmentSpec(kind="freq_mask", rate=0.3),
@@ -495,7 +564,7 @@ class TestExpandDataset:
         for _ in range(2):
             for w in windows:
                 copy = apply_augment(w, spec, ref_rng, pool=windows)
-                ref.append((copy.lookback, copy.horizon, w.start_index))
+                ref.append((copy.lookback, copy.horizon))
         assert isinstance(out, Windows) and out.data.flags.c_contiguous
         assert out.data.shape == (3 * len(windows), 2, 18)
         assert_windows_equal(out, ref)
@@ -515,7 +584,7 @@ class TestExpandDataset:
         for _ in range(2):
             for w in windows:
                 copy = apply_augment(w, spec, ref_rng, pool=pool)
-                ref.append((copy.lookback, copy.horizon, w.start_index))
+                ref.append((copy.lookback, copy.horizon))
         assert_windows_equal(out, ref)
         assert rng.random() == ref_rng.random()
         default = expand_dataset(windows, spec, 3, np.random.default_rng(13))
@@ -569,7 +638,7 @@ class TestMemoryLayout:
         # contiguous array. Windows and pool come from the same set.
         values = np.random.default_rng(6).normal(size=(2, 80))
         strided = span_windows(values, 0, 80, 32, 16, stride=3)
-        contiguous = Windows(strided.data.copy(), strided.b, strided.starts)
+        contiguous = Windows(strided.data.copy(), strided.b)
         assert not strided.data.flags.c_contiguous and contiguous.data.flags.c_contiguous
         spec = AugmentSpec(kind=kind, rate=0.3)
         outs = []
@@ -651,6 +720,12 @@ def test_spec_validation():
         AugmentSpec(kind="freq_mix", rate=0.7)
     with pytest.raises(ValueError, match="rate"):
         AugmentSpec(kind="freq_mask", rate=1.5)
+
+
+@pytest.mark.parametrize("rate", [True, False])
+def test_bool_rate_rejected(rate):
+    with pytest.raises(ValueError, match=f"^rate must be a number, got {rate}$"):
+        AugmentSpec("freq_mask", rate)
 
 
 def name_uses(source, target="WindowSample"):

@@ -293,8 +293,9 @@ def test_ett_hourly_window_count_matches_benchmark_arithmetic():
 
 def test_window_contiguity():
     ds = split_and_normalize(_synthetic_ds(), scheme="generic")
-    for sample in make_windows(ds, "val", 10, 5, stride=37):
-        s = sample.start_index
+    lo = ds.split_range("val")[0]
+    for k, sample in enumerate(make_windows(ds, "val", 10, 5, stride=37)):
+        s = lo + k * 37
         np.testing.assert_array_equal(sample.concat(), ds.values[:, s: s + 15])
 
 
@@ -326,7 +327,7 @@ def test_split_of_exactly_b_plus_h_columns_holds_no_window(stride):
         make_windows(ds, "val", 6, 4, stride)
     ds.split_bounds = (11, 20)
     ws = make_windows(ds, "train", 6, 4, stride)
-    assert len(ws) == 1 and ws.starts.tolist() == [0]
+    assert len(ws) == 1
     np.testing.assert_array_equal(ws[0].concat(), ds.values[:, :10])
 
 
@@ -368,7 +369,7 @@ def test_split_range_needs_bounds_and_a_known_split():
 
 def copied_windows(values, lo, hi, b, h, stride=1):
     """Reference: a private copy of every window, the layout rule written out by hand."""
-    return [(values[:, s: s + b].copy(), values[:, s + b: s + b + h].copy(), s)
+    return [(values[:, s: s + b].copy(), values[:, s + b: s + b + h].copy())
             for s in range(lo, hi - b - h, stride)]
 
 
@@ -388,15 +389,15 @@ def test_ttt_span_windows_equal_copied_windows():
     bounds = _part_bounds(ds.length, 5)
     for i in range(1, 5):
         train = span_windows(ds.values, 0, bounds[i - 1][1], b, h)
-        assert_windows_equal(train, copied_windows(ds.values, 0, bounds[i - 1][1], b, h))
+        ref = copied_windows(ds.values, 0, bounds[i - 1][1], b, h)
+        assert_windows_equal(train, ref)
         assert_windows_equal(span_windows(ds.values, *bounds[i], b, h),
                              copied_windows(ds.values, *bounds[i], b, h))
         # A part's windows are a slice of the training set: window k starts at k.
         for lo, hi in bounds[:i]:
             part = train[lo:hi]
             assert isinstance(part, Windows)
-            assert_windows_equal(part, [(w.lookback, w.horizon, w.start_index)
-                                        for w in train if lo <= w.start_index < hi])
+            assert_windows_equal(part, ref[lo:hi])
 
 
 @pytest.mark.parametrize("span", [0, 5, 11, 12])
@@ -404,7 +405,7 @@ def test_span_windows_empty_when_span_at_most_b_plus_h(span):
     values = np.arange(40.0)[None]
     empty = span_windows(values, 10, 10 + span, 8, 4)
     assert isinstance(empty, Windows) and len(empty) == 0 and list(empty) == []
-    assert empty.data.shape == (0, 1, 12) and empty.starts.shape == (0,)
+    assert empty.data.shape == (0, 1, 12)
     assert len(span_windows(values, 10, 10 + 13, 8, 4)) == 1
 
 
@@ -434,11 +435,10 @@ def test_windows_of_a_loaded_csv_are_row_contiguous(tmp_path):
 
 def test_window_sample_split():
     window = np.arange(12.0).reshape(2, 6)
-    sample = WindowSample.split(window, 4, start_index=7)
+    sample = WindowSample.split(window, 4)
     np.testing.assert_array_equal(sample.lookback, window[:, :4])
     np.testing.assert_array_equal(sample.horizon, window[:, 4:])
     assert sample.lookback.shape == (2, 4) and sample.horizon.shape == (2, 2)
-    assert sample.start_index == 7
     np.testing.assert_array_equal(sample.concat(), window)
 
 
@@ -453,7 +453,6 @@ def test_windows_set_access():
     assert_windows_equal(ws[2:5], ref[2:5])
     sample = ws[-2]
     assert isinstance(sample, WindowSample)
-    assert isinstance(sample.start_index, int) and sample.start_index == ref[-2][2]
     assert ws.data.shape == (len(ref), 2, 8) and not ws.data.flags.owndata
 
 
@@ -464,9 +463,7 @@ def test_windows_index_array_is_one_stacked_set():
     got = ws[idx]
     assert isinstance(got, Windows) and got.b == 5 and got.data.flags.c_contiguous
     np.testing.assert_array_equal(got.data, np.stack([ws.data[i] for i in idx]))
-    np.testing.assert_array_equal(got.starts, np.stack([ws.starts[i] for i in idx]))
-    assert_windows_equal(got, [(w.lookback, w.horizon, w.start_index)
-                               for w in (ws[int(i)] for i in idx)])
+    assert_windows_equal(got, [(w.lookback, w.horizon) for w in (ws[int(i)] for i in idx)])
 
 
 @pytest.mark.parametrize("index", [[4, 0, 2], []], ids=["list", "empty"])
@@ -476,10 +473,10 @@ def test_windows_list_index_is_a_set_like_an_index_array(index):
     got, want = ws[index], ws[np.array(index, dtype=np.intp)]
     assert isinstance(got, Windows) and got.b == 5
     np.testing.assert_array_equal(got.data, want.data)
-    np.testing.assert_array_equal(got.starts, want.starts)
     for k in (2, np.int64(2), np.intp(-1)):
         assert isinstance(ws[k], WindowSample)
-    assert ws[np.int64(2)].start_index == ws[2].start_index == 7
+    # Window 2 of a stride-2 span from column 3 starts at column 3 + 2 * 2.
+    np.testing.assert_array_equal(ws[np.int64(2)].concat(), values[:, 7:15])
 
 
 def test_take_last_fraction_of_a_set_is_a_slice():
@@ -488,7 +485,7 @@ def test_take_last_fraction_of_a_set_is_a_slice():
     out = take_last_fraction(ws, 0.1)
     assert isinstance(out, Windows) and len(out) == 66
     assert np.shares_memory(out.data, ds.values)
-    assert_windows_equal(out, [(w.lookback, w.horizon, w.start_index) for w in ws][-66:])
+    assert_windows_equal(out, [(w.lookback, w.horizon) for w in ws][-66:])
 
 
 def test_take_last_fraction():

@@ -307,8 +307,7 @@ class TestTtt:
                 expected += list(expand_dataset(part, spec, copies + 1, rng))[len(part):]
         assert len(ws) == 38 and len(got) == 38 + 10 * (1 + 2 + 3) + 8 * 4
         assert got.data.flags.c_contiguous
-        assert_windows_equal(got, [(s.lookback, s.horizon, s.start_index)
-                                   for s in expected])
+        assert_windows_equal(got, [(s.lookback, s.horizon) for s in expected])
 
 
 @pytest.mark.parametrize("run,kwargs,name", [

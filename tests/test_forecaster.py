@@ -23,7 +23,7 @@ def linear_samples(n, c=1, b=4, h=2, slope=2.0, seed=0):
     rng = np.random.default_rng(seed)
     t = np.array([rng.uniform(-10, 10) for _ in range(n)])[:, None] + np.arange(b + h)
     data = np.repeat(slope * t[:, None, :], c, axis=1)
-    return Windows(data, b, np.arange(n))
+    return Windows(data, b)
 
 
 def moving_average_loop(b, kernel):
@@ -526,15 +526,53 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 2.5), ("max_epochs", 2.5), ("patience", 1.5),
+        ("batch_size", True), ("max_epochs", True), ("patience", True),
+        ("batch_size", "8"), ("batch_size", 0), ("patience", 0),
+        ("learning_rate", float("inf")), ("learning_rate", True),
+    ])
+    def test_count_or_rate_that_is_not_one_rejected_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            TrainConfig(**{field: value})
+
     def test_boundary_values_accepted(self):
         cfg = TrainConfig(max_epochs=0)
         assert cfg.max_epochs == 0
+
+    def test_numpy_integer_counts_train_like_python_ones(self):
+        samples = linear_samples(12)
+        models = []
+        for kind in (int, np.int64):
+            cfg = TrainConfig(batch_size=kind(4), max_epochs=kind(2), patience=kind(1))
+            model = DLinearModel.init_random(b=4, h=2, seed=0)
+            models.append(train(model, samples, samples, cfg)[0].params().flat)
+        np.testing.assert_array_equal(*models)
 
     @pytest.mark.parametrize("field", ["beta1", "beta2", "eps"])
     def test_adam_constants_are_not_fields(self, field):
         assert len(fields(TrainConfig)) == 5
         with pytest.raises(TypeError, match=field):
             TrainConfig(**{field: 0.5})
+
+
+class TestHorizonMismatch:
+    def test_train_names_both_lengths(self):
+        ws = random_windows(8, 2, 8, 4, seed=0)
+        model = DLinearModel.init_random(8, 5)
+        with pytest.raises(ValueError, match=r"^horizon length 4 != model h 5$"):
+            train(model, ws, ws, TrainConfig(max_epochs=1))
+
+    def test_train_checks_the_validation_set(self):
+        model = DLinearModel.init_random(8, 4)
+        with pytest.raises(ValueError, match=r"^horizon length 5 != model h 4$"):
+            train(model, random_windows(8, 2, 8, 4, seed=0), random_windows(4, 2, 8, 5, seed=1),
+                  TrainConfig(max_epochs=1))
+
+    def test_evaluate_names_both_lengths(self):
+        model = DLinearModel.init_random(8, 5)
+        with pytest.raises(ValueError, match=r"^horizon length 4 != model h 5$"):
+            evaluate(model, random_windows(8, 2, 8, 4, seed=0))
 
 
 class TestEvaluate:
@@ -551,7 +589,7 @@ class TestEvaluate:
         model = DLinearModel(b=4, h=2)  # predicts all zeros
         delta = 1.5
         data = np.concatenate([np.zeros((3, 1, 4)), np.full((3, 1, 2), -delta)], axis=2)
-        samples = Windows(data, 4, np.arange(3))
+        samples = Windows(data, 4)
         m = evaluate(model, samples)
         assert m.mse == pytest.approx(delta**2)
         assert m.mae == pytest.approx(delta)
