@@ -10,12 +10,11 @@ back, drawing mixing partners from a Windows pool; expand_dataset alone
 makes augmented copies, for training steps, expansions and fraug augment.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Windows, WindowSample
+from .dataset import Windows, WindowSample, check_count
 from .spectral import irfft_signal, rfft_bins
 
 FREQ_KINDS = ("freq_mask", "freq_mix", "freq_mask_keep_dominant", "freq_mask_then_mix")
@@ -182,8 +181,7 @@ def asd_augment(x, pool, k=5):
     channel order; weights are softmin with temperature = mean of the k
     distances.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_count("k", k, 1)
     if len(pool) < k:
         raise ValueError(f"pool of {len(pool)} samples too small for k={k}")
     # cumsum adds in order; np.sum would add pairwise from 8 channels on.
@@ -210,8 +208,7 @@ def decompose(series, period):
     order the leading axes do not change.
     """
     x = np.asarray(series, dtype=np.float64)
-    if period < 2:
-        raise ValueError("period must be >= 2")
+    check_count("period", period, 2)
     n = x.shape[-1]
     if n < 2 * period:
         raise ValueError(f"series of length {n} shorter than 2*period={2 * period}")
@@ -304,8 +301,7 @@ def expand_dataset(samples, spec: AugmentSpec, factor, rng, pool=None):
     seed. Mixing partners and asd neighbors come from the Windows set
     `pool`, by default the input set.
     """
-    if isinstance(factor, bool) or not isinstance(factor, numbers.Integral) or factor < 1:
-        raise ValueError(f"factor must be an integer >= 1, got {factor!r}")
+    check_count("factor", factor, 1)
     pool = samples if pool is None else pool
     n, b = len(samples), samples.b
     data = np.empty((factor * n,) + samples.data.shape[1:])

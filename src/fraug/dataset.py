@@ -12,6 +12,7 @@ CSV_BLOCK_ROWS rows are checked and parsed to floats in bulk.
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, islice
 
@@ -25,6 +26,13 @@ SPLIT_SCHEMES = {
     "generic": None,
 }
 CSV_BLOCK_ROWS = 1024  # rows that load_csv parses and synth.write_csv formats at a time
+
+
+def check_count(name, value, least):
+    """The one rule for counts: raise ValueError naming `name` unless value is
+    an integer (numpy's too, not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(eq=False)
@@ -230,12 +238,8 @@ def make_windows(ds: TimeSeriesDataset, split, b, h, stride=1):
     With stride 1 the count is split_length - b - h (the final alignable
     window is dropped, matching the benchmark sample arithmetic); a split
     that holds no window is an error. The Windows are a read-only view
-    of ds.values (see span_windows).
+    of ds.values; span_windows checks b, h and stride.
     """
-    if b < 1 or h < 1:
-        raise ValueError("b and h must be >= 1")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     lo, hi = ds.split_range(split)
     windows = span_windows(ds.values, lo, hi, b, h, stride)
     if not len(windows):
@@ -251,8 +255,14 @@ def span_windows(values, lo, hi, b, h, stride=1):
     values[:, s:s+b], horizon the next h columns. The final alignable
     window is dropped, so a span of at most b+h columns gives an empty
     set. Nothing is copied: ``data`` is a read-only strided view of
-    `values`.
+    `values`. b, h and stride are counts >= 1, and the span must lie
+    inside the series: 0 <= lo <= hi <= T.
     """
+    for name, value, least in (("b", b, 1), ("h", h, 1), ("stride", stride, 1),
+                               ("lo", lo, 0), ("hi", hi, 0)):
+        check_count(name, value, least)
+    if not lo <= hi <= values.shape[1]:
+        raise ValueError(f"span needs lo <= hi <= T, got lo={lo}, hi={hi}, T={values.shape[1]}")
     n = b + h
     if hi - lo <= n:
         return Windows(np.empty((0, values.shape[0], n)), b)
@@ -267,7 +277,7 @@ def take_last_fraction(samples, fraction):
     """
     if not samples:
         raise ValueError("empty sample list")
-    if not 0 < fraction <= 1:
+    if isinstance(fraction, bool) or not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     count = max(1, math.floor(fraction * len(samples)))
     return samples[-count:]

@@ -10,7 +10,6 @@ trace.csv and, for ttt, ttt_parts.csv.
 
 import csv
 import json
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -18,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .augment import AugmentSpec, expand_dataset
-from .dataset import (TimeSeriesDataset, Windows, make_windows, span_windows,
-                      take_last_fraction)
+from .dataset import (TimeSeriesDataset, Windows, check_count, make_windows,
+                      span_windows, take_last_fraction)
 from .forecaster import DLinearModel, TrainConfig, evaluate, train
 
 RATE_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -59,9 +58,11 @@ class ExperimentReport:
 
     @classmethod
     def start(cls, protocol, dataset_id, b, horizons, kinds, seeds):
-        """An empty report whose kinds begin with the "none" control; empty seeds raise."""
+        """An empty report whose kinds begin with the "none" control; seeds are counts >= 0."""
         if len(seeds) == 0:
             raise ValueError(f"seeds must be non-empty, got {seeds!r}")
+        for i, seed in enumerate(seeds):
+            check_count(f"seeds[{i}]", seed, 0)
         return cls(protocol=protocol, dataset_id=dataset_id, b=b, horizons=list(horizons),
                    kinds=["none"] + [k for k in kinds if k != "none"], seeds=list(seeds))
 
@@ -189,10 +190,10 @@ def run_coldstart(ds, h, kinds, b=96, fraction=0.01, factors=(2, 50),
     factor, from default_rng(seed); each factor trains on its prefix.
     """
     report = ExperimentReport.start("coldstart", dataset_id, b, [h], kinds, seeds)
-    # Bools are not counts here, as in fraug run's config check.
-    if len(factors) == 0 or any(isinstance(f, bool) or not isinstance(f, numbers.Integral)
-                                or f < 1 for f in factors):
-        raise ValueError(f"factors must be non-empty integers, each >= 1, got {factors!r}")
+    if len(factors) == 0:
+        raise ValueError(f"factors must be non-empty, got {factors!r}")
+    for i, factor in enumerate(factors):
+        check_count(f"factors[{i}]", factor, 1)
     all_train = make_windows(ds, "train", b, h)
     train_small = take_last_fraction(all_train, fraction)
     val_samples = make_windows(ds, "val", b, h)
@@ -220,22 +221,16 @@ def ttt_copy_schedule(n_parts_seen):
 
     Rounding is half-up, so n=8 gives [1, 2, 2, 3, 3, 4, 4, 5].
     """
-    if n_parts_seen < 1:
-        raise ValueError("need at least one part")
+    check_count("n_parts_seen", n_parts_seen, 1)
     if n_parts_seen == 1:
         return [5]
-    out = []
-    for rank in range(n_parts_seen):
-        value = 1.0 + 4.0 * rank / (n_parts_seen - 1)
-        out.append(int(np.floor(value + 0.5)))
-    return out
+    return [int(np.floor(1.0 + 4.0 * rank / (n_parts_seen - 1) + 0.5))
+            for rank in range(n_parts_seen)]
 
 
 def _part_bounds(length, parts):
     # Equal contiguous spans; the remainder goes to the last part.
     size = length // parts
-    if size == 0:
-        raise ValueError(f"series of length {length} too short for {parts} parts")
     bounds = [(i * size, (i + 1) * size) for i in range(parts)]
     bounds[-1] = (bounds[-1][0], length)
     return bounds
@@ -274,20 +269,18 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
     the model also trains on: the validation is in-sample, and each
     cell's extra records it as val_in_sample.
     """
-    if parts < 2:
-        raise ValueError(f"parts must be >= 2, got {parts}")
+    check_count("parts", parts, 2)
     report = ExperimentReport.start("ttt", dataset_id, b, [h], kinds, seeds)
     bounds = _part_bounds(ds.length, parts)
+    # No part is shorter than part 0, so every round holds windows if part 0 does.
+    if bounds[0][1] <= b + h:
+        raise ValueError(f"part 0 of length {bounds[0][1]} must be longer than b+h = {b + h}")
     for kind in report.kinds:
         for seed in seeds:
             part_losses, part_maes = [], []
             for i in range(1, parts):
                 train_samples = span_windows(ds.values, 0, bounds[i - 1][1], b, h)
                 test_samples = span_windows(ds.values, *bounds[i], b, h)
-                if not train_samples:
-                    raise ValueError(f"part {i - 1}: span too short for windows")
-                if not test_samples:
-                    raise ValueError(f"part {i}: span too short for windows")
                 train_set = train_samples if kind == "none" else _ttt_train_set(
                     train_samples, bounds[:i], AugmentSpec(kind=kind, rate=rate),
                     np.random.default_rng((seed, i)))

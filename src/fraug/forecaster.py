@@ -19,12 +19,12 @@ follows the block, not the set.
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .augment import AugmentSpec, expand_dataset
+from .dataset import check_count
 
 CHECKPOINT_MAGIC = "FRAUG-DLINEAR-v1"
 # Window-channel rows per scoring block: a block holds max(1, rows // C) windows.
@@ -33,8 +33,7 @@ SCORE_BLOCK_ROWS = 512
 
 def moving_average_matrix(b, kernel):
     """(b, b) operator: centered moving average with replicate padding."""
-    if kernel < 1:
-        raise ValueError("kernel must be >= 1")
+    check_count("kernel", kernel, 1)
     pad_front = (kernel - 1) // 2
     rows = np.repeat(np.arange(b), kernel)
     src = np.clip(rows - pad_front + np.tile(np.arange(kernel), b), 0, b - 1)
@@ -90,6 +89,8 @@ class DLinearModel:
     b_seasonal: np.ndarray = None
 
     def __post_init__(self):
+        for name in ("b", "h", "kernel"):
+            check_count(name, getattr(self, name), 1)
         self._params = _FlatParams(self.b, self.h)
         for name, view in self._params.items():
             given = getattr(self, name)
@@ -103,16 +104,14 @@ class DLinearModel:
 
     @classmethod
     def init_random(cls, b, h, kernel=25, seed=0):
-        """Uniform [-1/b, 1/b] weight initialization."""
+        """Uniform [-1/b, 1/b] weight initialization, drawn in parameter order."""
+        check_count("seed", seed, 0)
+        model = cls(b=b, h=h, kernel=kernel)
         rng = np.random.default_rng(seed)
         scale = 1.0 / b
-        return cls(
-            b=b, h=h, kernel=kernel,
-            w_trend=rng.uniform(-scale, scale, size=(h, b)),
-            w_seasonal=rng.uniform(-scale, scale, size=(h, b)),
-            b_trend=rng.uniform(-scale, scale, size=h),
-            b_seasonal=rng.uniform(-scale, scale, size=h),
-        )
+        for view in model.params().values():
+            view[...] = rng.uniform(-scale, scale, size=view.shape)
+        return model
 
     def params(self):
         """{name: array} of the parameters, views of the flat vector ``params().flat``."""
@@ -162,9 +161,7 @@ class DLinearModel:
         if missing:
             raise ValueError(f"{path}: checkpoint lacks {', '.join(missing)}")
         for name in ("b", "h", "kernel"):
-            value = doc[name]
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{path}: {name} must be a positive integer, got {value!r}")
+            check_count(f"{path}: {name}", doc[name], 1)
         b, h = doc["b"], doc["h"]
         params = {}
         for name, shape in (("w_trend", (h, b)), ("w_seasonal", (h, b)),
@@ -187,12 +184,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # Counts are integers (numpy's too), but not bools.
-        for name, least in (("batch_size", 1), ("max_epochs", 0), ("patience", 1)):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name, least in (("batch_size", 1), ("max_epochs", 0), ("patience", 1),
+                            ("seed", 0)):
+            check_count(name, getattr(self, name), least)
         # Written as not (...) so NaN fails too.
         if isinstance(self.learning_rate, bool) or not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -32,8 +33,13 @@ def generate(spec: SynthSpec):
     Channels differ by a deterministic phase offset so multichannel
     datasets are not degenerate copies.
     """
-    if spec.length < 1:
-        raise ValueError("length must be >= 1")
+    for name, least in (("length", 1), ("channels", 1), ("seed", 0)):
+        dataset.check_count(name, getattr(spec, name), least)
+    if spec.shift_at is not None:
+        dataset.check_count("shift_at", spec.shift_at, 0)
+    # Written as not (...) so NaN fails too.
+    if not 0 <= spec.noise_std < math.inf:
+        raise ValueError(f"noise_std must be finite and >= 0, got {spec.noise_std!r}")
     rng = np.random.default_rng(spec.seed)
     t = np.arange(spec.length, dtype=np.float64)
     out = np.zeros((spec.channels, spec.length))

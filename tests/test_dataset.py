@@ -332,8 +332,14 @@ def test_split_of_exactly_b_plus_h_columns_holds_no_window(stride):
 
 
 @pytest.mark.parametrize("b,h,stride,message", [
-    (0, 4, 1, "b and h must be >= 1"), (4, 0, 1, "b and h must be >= 1"),
-    (4, 4, 0, "stride must be >= 1")])
+    (0, 4, 1, "b must be an integer >= 1, got 0"), (4, 0, 1, "h must be an integer >= 1, got 0"),
+    (4, 4, 0, "stride must be an integer >= 1, got 0"),
+    (2.5, 4, 1, "b must be an integer >= 1, got 2.5"),
+    (4, 2.5, 1, "h must be an integer >= 1, got 2.5"),
+    (4, 4, 2.5, "stride must be an integer >= 1, got 2.5"),
+    (True, 4, 1, "b must be an integer >= 1, got True"),
+    (4, True, 1, "h must be an integer >= 1, got True"),
+    (4, 4, True, "stride must be an integer >= 1, got True")])
 def test_make_windows_rejects_lengths_below_one(b, h, stride, message):
     ds = split_and_normalize(_synthetic_ds(length=100))
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -398,6 +404,40 @@ def test_ttt_span_windows_equal_copied_windows():
             part = train[lo:hi]
             assert isinstance(part, Windows)
             assert_windows_equal(part, ref[lo:hi])
+
+
+@pytest.mark.parametrize("lo,hi,message", [
+    (0, 41, "span needs lo <= hi <= T, got lo=0, hi=41, T=40"),
+    (21, 20, "span needs lo <= hi <= T, got lo=21, hi=20, T=40"),
+    (-1, 20, "lo must be an integer >= 0, got -1"),
+    (0, 20.5, "hi must be an integer >= 0, got 20.5"),
+])
+def test_span_windows_rejects_a_span_outside_the_series(lo, hi, message):
+    values = np.arange(40.0)[None]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        span_windows(values, lo, hi, 8, 4)
+
+
+def test_span_windows_may_end_at_the_last_column():
+    values = np.arange(40.0)[None]
+    assert len(span_windows(values, 0, 40, 8, 4)) == 28
+    assert len(span_windows(values, 0, 40, 8, 4, 5)) == 6
+    assert len(span_windows(values, 40, 40, 8, 4)) == 0
+
+
+@pytest.mark.parametrize("name,value,least", [
+    ("b", 2.5, 1), ("b", True, 1), ("b", 0, 1), ("n", np.float64(3.0), 1),
+    ("n", np.True_, 0), ("n", "3", 1), ("n", None, 0), ("seed", -1, 0),
+])
+def test_check_count_rejects_non_counts_naming_them(name, value, least):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be an integer >= {least}, got {value!r}")):
+        dataset.check_count(name, value, least)
+
+
+@pytest.mark.parametrize("value", [0, 7, np.int64(0), np.uint8(7), np.int32(2**31 - 1)])
+def test_check_count_accepts_python_and_numpy_integers(value):
+    dataset.check_count("n", value, 0)
 
 
 @pytest.mark.parametrize("span", [0, 5, 11, 12])
@@ -509,6 +549,21 @@ def test_take_last_fraction_errors():
         take_last_fraction([], 0.5)
     with pytest.raises(ValueError):
         take_last_fraction([1], 0.0)
+
+
+@pytest.mark.parametrize("fraction", [True, False, float("nan"), 1.5])
+def test_take_last_fraction_rejects_a_bool_or_out_of_range_fraction(fraction):
+    # True would read as 1.0 and silently keep the whole set.
+    with pytest.raises(ValueError, match=re.escape(f"fraction must be in (0, 1], got {fraction}")):
+        take_last_fraction(list(range(10)), fraction)
+
+
+@pytest.mark.parametrize("noise_std", [-1.0, float("nan"), float("inf")])
+def test_generate_rejects_a_negative_or_non_finite_noise_std(noise_std):
+    # -1 and NaN generated no noise at all, and no error.
+    with pytest.raises(ValueError, match=re.escape(
+            f"noise_std must be finite and >= 0, got {noise_std!r}")):
+        generate(SynthSpec(length=10, noise_std=noise_std))
 
 
 def test_synth_csv_round_trip(tmp_path):

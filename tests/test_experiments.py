@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,13 +9,14 @@ import pytest
 
 from conftest import assert_windows_equal
 from fraug import experiments
-from fraug.augment import AugmentSpec, expand_dataset
+from fraug.augment import AugmentSpec, asd_augment, decompose, expand_dataset
 from fraug.dataset import (TimeSeriesDataset, make_windows, span_windows,
                            split_and_normalize, take_last_fraction)
 from fraug.experiments import (ExperimentReport, _part_bounds, _ttt_train_set,
                                cross_validate_rate, run_coldstart, run_longterm,
                                run_ttt, ttt_copy_schedule)
-from fraug.forecaster import DLinearModel, TrainConfig, evaluate, train
+from fraug.forecaster import (DLinearModel, TrainConfig, evaluate, moving_average_matrix,
+                              train)
 from fraug.synth import SynthSpec, generate
 
 
@@ -276,10 +278,18 @@ class TestTtt:
         with pytest.raises(ValueError):
             run_ttt(ds, h=4, kinds=[], b=8, parts=50, cfg=quick_cfg())
 
+    def test_short_part_zero_rejected_before_any_fit(self, calls):
+        # 600 // 50 = 12 columns per part hold no window of b+h = 12.
+        with pytest.raises(ValueError, match=re.escape(
+                "part 0 of length 12 must be longer than b+h = 12")):
+            run_ttt(small_dataset(length=600), h=4, kinds=["freq_mask"], b=8, parts=50,
+                    cfg=quick_cfg())
+        assert calls == {"train": 0, "factors": []}
+
     @pytest.mark.parametrize("parts", [0, 1, -3])
     def test_fewer_than_two_parts_rejected(self, parts):
         ds = small_dataset(length=600)
-        with pytest.raises(ValueError, match="parts must be >= 2"):
+        with pytest.raises(ValueError, match="parts must be an integer >= 2"):
             run_ttt(ds, h=4, kinds=["freq_mask"], b=8, parts=parts, cfg=quick_cfg())
 
     def test_deterministic_given_seed(self):
@@ -315,15 +325,17 @@ class TestTtt:
     (run_longterm, dict(horizons=[8], seeds=(), select_rates=False), "seeds"),
     (run_coldstart, dict(h=8, seeds=()), "seeds"),
     (run_coldstart, dict(h=8, factors=()), "factors"),
-    (run_coldstart, dict(h=8, factors=(2, 0)), "factors"),
+    (run_coldstart, dict(h=8, factors=(2, 0)), "factors[1]"),
     (run_ttt, dict(h=4, parts=3, seeds=[]), "seeds"),
-    (run_coldstart, dict(h=8, factors=(2.5,)), "factors"),
-    (run_coldstart, dict(h=8, factors=(2, True)), "factors"),
+    (run_coldstart, dict(h=8, factors=(2.5,)), "factors[0]"),
+    (run_coldstart, dict(h=8, factors=(2, True)), "factors[1]"),
     (run_longterm, dict(horizons=[8], seeds=np.array([], int)), "seeds"),
     (run_coldstart, dict(h=8, factors=np.array([], int)), "factors"),
 ])
 def test_empty_seeds_or_bad_factors_rejected_before_training(calls, run, kwargs, name):
-    with pytest.raises(ValueError, match=f"^{name} must be non-empty"):
+    # An empty argument is named whole, a bad factor by its index.
+    rule = "an integer >= 1" if name.endswith("]") else "non-empty"
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be {rule}"):
         run(small_dataset(), kinds=["freq_mask"], b=8, cfg=quick_cfg(), **kwargs)
     assert calls == {"train": 0, "factors": []}
 
@@ -359,7 +371,8 @@ def test_numpy_array_arguments_give_the_plain_int_report(tmp_path, seeds):
 
 
 @pytest.mark.parametrize("run,kwargs,message", [
-    (run_ttt, dict(h=4, parts=1, seeds=()), "parts must be >= 2"),
+    (run_ttt, dict(h=4, parts=1, seeds=()), "parts must be an integer >= 2"),
+    (run_ttt, dict(h=4, parts=2.5, seeds=()), "parts must be an integer >= 2, got 2.5"),
     (run_coldstart, dict(h=8, seeds=(), factors=()), "seeds must be non-empty"),
 ])
 def test_first_bad_argument_named(calls, run, kwargs, message):
@@ -446,3 +459,41 @@ def test_report_median_over_seeds():
     assert rep.median_mse("none", 1) == 2.0
     with pytest.raises(KeyError):
         rep.median_mse("missing", 1)
+
+
+# Count sites no other test reaches: id -> (name in the message, least value, call).
+COUNT_SITES = {
+    "DLinearModel.b": ("b", 1, lambda v: DLinearModel(b=v, h=3)),
+    "DLinearModel.h": ("h", 1, lambda v: DLinearModel(b=4, h=v)),
+    "DLinearModel.kernel": ("kernel", 1, lambda v: DLinearModel(b=4, h=3, kernel=v)),
+    "init_random.seed": ("seed", 0, lambda v: DLinearModel.init_random(4, 3, seed=v)),
+    "ExperimentReport.start.seeds": ("seeds[1]", 0, lambda v: ExperimentReport.start(
+        "longterm", "d", 8, [4], [], seeds=[0, v])),
+    "run_ttt.parts": ("parts", 2, lambda v: run_ttt(
+        small_dataset(length=300), h=4, kinds=[], b=8, parts=v, cfg=quick_cfg())),
+    "ttt_copy_schedule": ("n_parts_seen", 1, ttt_copy_schedule),
+    "asd_augment.k": ("k", 1, lambda v: asd_augment(
+        np.zeros((1, 8)), np.arange(24.0).reshape(3, 1, 8), k=v)),
+    "decompose.period": ("period", 2, lambda v: decompose(np.arange(20.0), v)),
+    "moving_average_matrix.kernel": ("kernel", 1, lambda v: moving_average_matrix(6, v)),
+    "generate.length": ("length", 1, lambda v: generate(SynthSpec(length=v))),
+    "generate.channels": ("channels", 1, lambda v: generate(SynthSpec(length=10, channels=v))),
+    "generate.seed": ("seed", 0, lambda v: generate(SynthSpec(length=10, seed=v))),
+    "generate.shift_at": ("shift_at", 0, lambda v: generate(SynthSpec(length=10, shift_at=v))),
+}
+
+
+@pytest.mark.parametrize("bad", ["float", "bool", "below"])
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_count_site_rejects_a_non_count_naming_it(site, bad):
+    name, least, call = COUNT_SITES[site]
+    value = {"float": 2.5, "bool": True, "below": least - 1}[bad]
+    message = f"{name} must be an integer >= {least}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_count_site_accepts_a_numpy_integer(site):
+    name, least, call = COUNT_SITES[site]
+    call(np.int64(least))

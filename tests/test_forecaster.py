@@ -531,6 +531,7 @@ class TestTrainConfigValidation:
         ("batch_size", True), ("max_epochs", True), ("patience", True),
         ("batch_size", "8"), ("batch_size", 0), ("patience", 0),
         ("learning_rate", float("inf")), ("learning_rate", True),
+        ("seed", -1), ("seed", 1.5), ("seed", True),
     ])
     def test_count_or_rate_that_is_not_one_rejected_naming_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be "):
@@ -800,7 +801,7 @@ class TestCheckpointValidation:
         doc = json.loads(path.read_text())
         doc[field] = None if value == "null" else value
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
             DLinearModel.load(path)
 
     def test_non_finite_value_rejected(self, tmp_path):
