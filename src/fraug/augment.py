@@ -32,7 +32,7 @@ WARP_FACTORS = (0.5, 2.0)
 MIN_WINDOW = {"mbb": 2 * MBB_PERIOD, "warp": 2}
 
 
-@dataclass
+@dataclass(frozen=True)
 class AugmentSpec:
     """Which augmentation to apply and its rate."""
 
@@ -58,8 +58,7 @@ def freq_mask(x, mu, rng, keep_top=0):
     largest-amplitude bins per channel from masking (the keep-dominant
     variant).
     """
-    if keep_top < 0:
-        raise ValueError("keep_top must be >= 0")
+    check_count("keep_top", keep_top, 0)
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"rate must be in [0, 1], got {mu}")
     c, n = x.shape
@@ -109,11 +108,10 @@ def baseline_augment(x, b, kind, rng, mu=0.2):
         return 2.0 * x.mean(axis=1, keepdims=True) - x
     out = x.copy()
     look, hor = out[:, :b], out[:, b:]
-    if kind == "noise":
+    if kind in ("noise", "noise_both"):
         look *= 1.0 + rng.uniform(-NOISE_SCALE, NOISE_SCALE, size=look.shape)
-    elif kind == "noise_both":
-        look *= 1.0 + rng.uniform(-NOISE_SCALE, NOISE_SCALE, size=look.shape)
-        hor *= 1.0 + rng.uniform(-NOISE_SCALE, NOISE_SCALE, size=hor.shape)
+        if kind == "noise_both":
+            hor *= 1.0 + rng.uniform(-NOISE_SCALE, NOISE_SCALE, size=hor.shape)
     elif kind == "time_mask_random":
         n_masked = int(round(mu * b))
         if n_masked > 0:
@@ -189,11 +187,8 @@ def asd_augment(x, pool, k=5):
     nearest = np.argsort(dists, kind="stable")[:k]
     d = dists[nearest]
     tau = d.mean()
-    if tau == 0.0:
-        w = np.full(k, 1.0 / k)
-    else:
-        w = np.exp(-d / tau)
-        w /= w.sum()
+    w = np.exp(-d / tau) if tau else np.ones(k)
+    w /= w.sum()
     return sum(wi * pool[i] for wi, i in zip(w, nearest))
 
 
@@ -259,14 +254,12 @@ def apply_augment(sample, spec: AugmentSpec, rng, pool=None):
     Here the sample becomes the (C, b+h) array the operators take, and
     their result a sample again. Mixing kinds draw their partner
     uniformly from the Windows set `pool` (one rng.integers call, before
-    any mask); asd needs `pool` as its candidate neighbors. Other kinds
-    ignore it.
+    any mask); asd takes `pool` as its candidate neighbors. Both need a
+    non-empty pool; other kinds ignore it.
     """
     kind = spec.kind
-    if kind in MIX_KINDS:
-        if not pool:
-            raise ValueError(f"{kind} needs a pool to draw its partner from")
-        partner = pool[int(rng.integers(0, len(pool)))]
+    if (kind in MIX_KINDS or kind == "asd") and not pool:
+        raise ValueError(f"{kind} needs a non-empty pool of windows")
     b = sample.lookback.shape[1]
     x = sample.concat()
     if kind == "none":
@@ -276,18 +269,15 @@ def apply_augment(sample, spec: AugmentSpec, rng, pool=None):
     elif kind == "freq_mask_keep_dominant":
         out = freq_mask(x, spec.rate, rng, keep_top=KEEP_TOP)
     elif kind in MIX_KINDS:
+        partner = pool[int(rng.integers(0, len(pool)))]
         mix = freq_mix if kind == "freq_mix" else freq_mask_then_mix
         out = mix(x, partner.concat(), spec.rate, rng)
     elif kind in BASELINE_KINDS:
         out = baseline_augment(x, b, kind, rng, mu=spec.rate)
     elif kind == "asd":
-        if pool is None:
-            raise ValueError("asd needs a candidate pool")
         out = asd_augment(x, pool.data)
-    elif kind == "mbb":
+    else:  # mbb; a validated spec has no other kind
         out = mbb_augment(x, MBB_PERIOD, rng)
-    else:
-        raise ValueError(f"unknown augmentation kind {kind!r}")
     return WindowSample.split(out, b)
 
 

@@ -93,12 +93,6 @@ def _augment_spec(kind, rate, rate_name, kind_name):
         raise ValueError(f"{rate_name} does not suit {kind_name}: {exc}") from None
 
 
-def _check_flags(args, *names):
-    """AugmentSpec of --kind and --rate, once each named flag is >= its least value."""
-    _check_least(args, *names)
-    return _augment_spec(args.kind, args.rate, "--rate", f"--kind {args.kind}")
-
-
 def _check_window(kinds, span, holder, names):
     """Raise ValueError naming the first of `kinds` that needs windows longer than `span`."""
     for kind in kinds:
@@ -108,7 +102,8 @@ def _check_window(kinds, span, holder, names):
 
 
 def cmd_augment(args):
-    spec = _check_flags(args, "seed")
+    _check_least(args, "seed")
+    spec = _augment_spec(args.kind, args.rate, "--rate", f"--kind {args.kind}")
     ds = load_csv(args.infile, date_column=args.date_column)
     _check_window([args.kind], ds.length, "--kind", f"the rows of --in {args.infile}")
     # Whole series as one window: first half look-back, rest horizon.
@@ -142,7 +137,8 @@ def cmd_spectrum(args):
 
 
 def cmd_train(args):
-    aug = _check_flags(args, "lookback", "horizon", "epochs", "seed")
+    _check_least(args, "lookback", "horizon", "epochs", "seed")
+    aug = _augment_spec(args.kind, args.rate, "--rate", f"--kind {args.kind}")
     _check_window([args.kind], args.lookback + args.horizon, "--kind", "--lookback + --horizon")
     ds = split_and_normalize(load_csv(args.dataset, date_column=args.date_column),
                              scheme=args.scheme)

@@ -31,6 +31,8 @@ CSV_BLOCK_ROWS = 1024  # rows that load_csv parses and synth.write_csv formats a
 def check_count(name, value, least):
     """The one rule for counts: raise ValueError naming `name` unless value is
     an integer (numpy's too, not a bool) >= least."""
+    if type(value) is int and value >= least:  # the common case, without the ABC check
+        return
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
@@ -205,10 +207,13 @@ class Windows:
     set copied by one fancy index, and iteration yields WindowSamples in order.
     ``ws.lookback`` and ``ws.horizon`` are (n, C, b) and (n, C, h) views;
     ``ws.lookback[idx]`` is one fancy index, a contiguous copy of the
-    look-backs at ``idx``.
+    look-backs at ``idx``. b is a count with 0 <= b < b+h.
     """
 
     def __init__(self, data, b):
+        check_count("b", b, 0)
+        if b >= data.shape[2]:
+            raise ValueError(f"b must be < the window length {data.shape[2]}, got {b}")
         self.data = data
         self.b = b
 

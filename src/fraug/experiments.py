@@ -58,13 +58,15 @@ class ExperimentReport:
 
     @classmethod
     def start(cls, protocol, dataset_id, b, horizons, kinds, seeds):
-        """An empty report whose kinds begin with the "none" control; seeds are counts >= 0."""
+        """An empty report: "none" leads the kinds, a repeated horizon, kind or
+        seed is kept once (first-seen order), and seeds are counts >= 0."""
         if len(seeds) == 0:
             raise ValueError(f"seeds must be non-empty, got {seeds!r}")
         for i, seed in enumerate(seeds):
             check_count(f"seeds[{i}]", seed, 0)
-        return cls(protocol=protocol, dataset_id=dataset_id, b=b, horizons=list(horizons),
-                   kinds=["none"] + [k for k in kinds if k != "none"], seeds=list(seeds))
+        return cls(protocol, dataset_id, b, list(dict.fromkeys(horizons)),
+                   ["none"] + [k for k in dict.fromkeys(kinds) if k != "none"],
+                   list(dict.fromkeys(seeds)))
 
     def add(self, kind, h, seed, rate, mse, mae, **extra):
         """Append one cell and set chosen_rates[f"{kind}/{h}"]; "none" records rate 0.0."""
@@ -126,20 +128,19 @@ def _fit(b, h, train_set, val_set, cfg, seed, aug=None):
     return train(model, train_set, val_set, replace(cfg or TrainConfig(), seed=seed), aug=aug)
 
 
-def cross_validate_rate(ds, b, h, kind, grid=RATE_GRID, cfg=None, seed=0):
+def cross_validate_rate(train_samples, val_samples, kind, grid=RATE_GRID, cfg=None, seed=0):
     """Pick the rate minimizing validation MSE; ties go to the smaller rate.
 
-    One model is trained per distinct rate with batch-wise augmentation;
-    the test split is never touched. Training runs under `seed`, which
-    overrides cfg.seed as the protocol runners do for their seeds.
-    Returns (rate, {rate: validation Metrics}, (model, trace) of the
-    chosen rate's fit).
+    One model is trained per distinct rate with batch-wise augmentation
+    on the train set, whose b and h it takes; no test set is seen.
+    Training runs under `seed`, which overrides cfg.seed as the protocol
+    runners do for their seeds. Returns (rate, {rate: validation
+    Metrics}, (model, trace) of the chosen rate's fit).
     """
     grid = sorted(set(grid))
     if not grid:
         raise ValueError("empty rate grid")
-    train_samples = make_windows(ds, "train", b, h)
-    val_samples = make_windows(ds, "val", b, h)
+    b, h = train_samples.b, train_samples.horizon.shape[2]
     per_rate, best_rate, best_val, best_fit = {}, None, np.inf, None
     for rate in grid:
         fit = _fit(b, h, train_samples, val_samples, cfg, seed,
@@ -160,18 +161,18 @@ def run_longterm(ds, horizons, kinds, b=96, cfg=None, seeds=(0,),
     rate, and its winning fit is that seed's cell; else fixed_rate is used.
     """
     report = ExperimentReport.start("longterm", dataset_id, b, horizons, kinds, seeds)
-    for h in horizons:
-        train_samples = make_windows(ds, "train", b, h)
-        val_samples = make_windows(ds, "val", b, h)
-        test_samples = make_windows(ds, "test", b, h)
+    # Every horizon's sets first, so one with no window fails before any fit.
+    sets = [(h, *(make_windows(ds, split, b, h) for split in ("train", "val", "test")))
+            for h in report.horizons]
+    for h, train_samples, val_samples, test_samples in sets:
         for kind in report.kinds:
             rate, fit = fixed_rate, None
             if kind != "none" and select_rates:
-                rate, per_rate, fit = cross_validate_rate(ds, b, h, kind, grid=rate_grid,
-                                                          cfg=cfg, seed=seeds[0])
+                rate, per_rate, fit = cross_validate_rate(
+                    train_samples, val_samples, kind, rate_grid, cfg, report.seeds[0])
                 report.rate_val_mse[f"{kind}/{h}"] = {r: m.mse for r, m in per_rate.items()}
             aug = None if kind == "none" else AugmentSpec(kind=kind, rate=rate)
-            for i, seed in enumerate(seeds):
+            for i, seed in enumerate(report.seeds):
                 model, trace = (fit if i == 0 and fit is not None else
                                 _fit(b, h, train_samples, val_samples, cfg, seed, aug))
                 m = evaluate(model, test_samples)
@@ -185,9 +186,9 @@ def run_coldstart(ds, h, kinds, b=96, fraction=0.01, factors=(2, 50),
     """Train on the last `fraction` of window samples, pre-expanded.
 
     For each kind the best expansion factor is chosen by validation MSE
-    (a repeated factor trains once); evaluation uses the full original
-    test split. Each (kind, seed) is expanded once, at the largest
-    factor, from default_rng(seed); each factor trains on its prefix.
+    (a repeated factor trains once), and only its model is scored on the
+    full original test split. Each (kind, seed) is expanded once, at the
+    largest factor, from default_rng(seed); each factor trains on its prefix.
     """
     report = ExperimentReport.start("coldstart", dataset_id, b, [h], kinds, seeds)
     if len(factors) == 0:
@@ -200,7 +201,7 @@ def run_coldstart(ds, h, kinds, b=96, fraction=0.01, factors=(2, 50),
     test_samples = make_windows(ds, "test", b, h)
     for kind in report.kinds:
         spec = AugmentSpec(kind=kind, rate=rate)
-        for seed in seeds:
+        for seed in report.seeds:
             expanded = train_small if kind == "none" else expand_dataset(
                 train_small, spec, max(factors), np.random.default_rng(seed))
             best = None
@@ -209,8 +210,9 @@ def run_coldstart(ds, h, kinds, b=96, fraction=0.01, factors=(2, 50),
                                 val_samples, cfg, seed)
                 val = evaluate(model, val_samples)
                 if best is None or val.mse < best[0]:
-                    best = (val.mse, factor, evaluate(model, test_samples))
-            _, factor, test = best
+                    best = (val.mse, factor, model)
+            _, factor, model = best
+            test = evaluate(model, test_samples)
             report.add(kind, h, seed, rate, test.mse, test.mae,
                        factor=factor, n_train=len(train_small))
     return report
@@ -239,9 +241,9 @@ def _part_bounds(length, parts):
 def _ttt_train_set(samples, bounds, spec, rng):
     """The originals, then each part's copies per the 1 -> 5 ramp, in one array.
 
-    Window k starts at column k, so part [lo, hi) holds windows lo..hi-1.
-    Each part's expansion is moved into place and dropped at once, so
-    beside the result at most one part's expansion is alive.
+    Window k starts at column k, so part [lo, hi) holds windows lo..hi-1,
+    one at least (run_ttt's part-0 check). Each part's expansion is moved
+    into place and dropped at once; beside the result at most one is alive.
     """
     parts = [samples[lo:hi] for lo, hi in bounds]
     schedule = ttt_copy_schedule(len(bounds))
@@ -250,11 +252,10 @@ def _ttt_train_set(samples, bounds, spec, rng):
                     + samples.data.shape[1:])
     data[:at] = samples.data
     for part, copies in zip(parts, schedule):
-        if part:
-            extra = expand_dataset(part, spec, copies + 1, rng)[len(part):]
-            data[at:at + len(extra)] = extra.data
-            at += len(extra)
-            del extra
+        extra = expand_dataset(part, spec, copies + 1, rng)[len(part):]
+        data[at:at + len(extra)] = extra.data
+        at += len(extra)
+        del extra
     return Windows(data, samples.b)
 
 
@@ -275,12 +276,12 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
     # No part is shorter than part 0, so every round holds windows if part 0 does.
     if bounds[0][1] <= b + h:
         raise ValueError(f"part 0 of length {bounds[0][1]} must be longer than b+h = {b + h}")
+    rounds = [(span_windows(ds.values, 0, bounds[i - 1][1], b, h),
+               span_windows(ds.values, *bounds[i], b, h)) for i in range(1, parts)]
     for kind in report.kinds:
-        for seed in seeds:
+        for seed in report.seeds:
             part_losses, part_maes = [], []
-            for i in range(1, parts):
-                train_samples = span_windows(ds.values, 0, bounds[i - 1][1], b, h)
-                test_samples = span_windows(ds.values, *bounds[i], b, h)
+            for i, (train_samples, test_samples) in enumerate(rounds, start=1):
                 train_set = train_samples if kind == "none" else _ttt_train_set(
                     train_samples, bounds[:i], AugmentSpec(kind=kind, rate=rate),
                     np.random.default_rng((seed, i)))

@@ -37,23 +37,23 @@ def generate(spec: SynthSpec):
         dataset.check_count(name, getattr(spec, name), least)
     if spec.shift_at is not None:
         dataset.check_count("shift_at", spec.shift_at, 0)
+        if spec.shift_at >= spec.length:
+            raise ValueError(f"shift_at must be < length {spec.length}, got {spec.shift_at}")
     # Written as not (...) so NaN fails too.
     if not 0 <= spec.noise_std < math.inf:
         raise ValueError(f"noise_std must be finite and >= 0, got {spec.noise_std!r}")
     rng = np.random.default_rng(spec.seed)
     t = np.arange(spec.length, dtype=np.float64)
     out = np.zeros((spec.channels, spec.length))
-    for c in range(spec.channels):
-        x = np.zeros(spec.length)
+    for c, x in enumerate(out):  # each x is a row of out, filled in place
+        phase = 2.0 * np.pi * c / spec.channels
         for period, amp in spec.tones:
-            phase = 2.0 * np.pi * c / max(1, spec.channels)
             x += amp * np.sin(2.0 * np.pi * t / period + phase)
         x += spec.trend_slope * t
         if spec.noise_std > 0:
             x += rng.normal(0.0, spec.noise_std, size=spec.length)
         if spec.shift_at is not None:
             x[spec.shift_at:] += spec.shift_delta
-        out[c] = x
     return out
 
 

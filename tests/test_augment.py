@@ -1,5 +1,5 @@
 import ast
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +134,7 @@ class TestFreqMask:
         assert np.max(np.abs(out.horizon)) < 1e-9
 
     def test_negative_keep_top_rejected(self):
-        with pytest.raises(ValueError, match="keep_top must be >= 0"):
+        with pytest.raises(ValueError, match=r"keep_top must be an integer >= 0, got -1"):
             freq_mask(window(), 0.2, np.random.default_rng(0), keep_top=-1)
 
 
@@ -383,6 +383,21 @@ class TestAsd:
         with pytest.raises(ValueError, match="too small"):
             asd_augment(window(), window()[None], k=5)
 
+    def test_all_k_distances_zero_give_equal_weights(self):
+        # The k nearest are copies of x, so tau = 0; each weight is 1/k, with
+        # no division by zero (a numpy warning fails the suite).
+        x = window(seed=6)
+        pool = np.stack([x] * 5 + [x + 1.0])
+        ref = sum(w * pool[i] for w, i in zip(np.full(5, 1.0 / 5), range(5)))
+        assert asd_augment(x, pool, k=5).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("pool", [None, random_windows(0, 2, 16, 8, seed=0)],
+                             ids=["no-pool", "empty-pool"])
+    def test_kind_needs_a_non_empty_pool(self, pool):
+        with pytest.raises(ValueError, match="^asd needs a non-empty pool of windows$"):
+            apply_augment(make_sample(), AugmentSpec(kind="asd"), np.random.default_rng(0),
+                          pool=pool)
+
     def test_kind_averages_the_pool_rows(self):
         sample = make_sample(c=1, b=8, h=4, seed=4)
         pool = random_windows(6, 1, 8, 4, seed=5)
@@ -610,7 +625,7 @@ class TestMixPartner:
     def test_no_partner_and_no_pool_rejected(self, kind):
         spec = AugmentSpec(kind=kind, rate=0.2)
         for pool in (None, random_windows(0, 2, 16, 8, seed=0)):
-            with pytest.raises(ValueError, match="needs a pool to draw its partner from"):
+            with pytest.raises(ValueError, match=f"{kind} needs a non-empty pool of windows"):
                 apply_augment(make_sample(), spec, np.random.default_rng(0), pool=pool)
 
 
@@ -711,6 +726,15 @@ def test_spec_is_kind_and_rate(field, value):
     assert [f.name for f in fields(AugmentSpec)] == ["kind", "rate"]
     with pytest.raises(TypeError, match=field):
         AugmentSpec(kind="freq_mask", **{field: value})
+
+
+@pytest.mark.parametrize("field,value", [("kind", "freq_mix"), ("rate", 0.9)])
+def test_spec_is_frozen(field, value):
+    # A spec is checked once, when made, so it cannot be changed afterwards.
+    spec = AugmentSpec(kind="freq_mask", rate=0.2)
+    with pytest.raises(FrozenInstanceError):
+        setattr(spec, field, value)
+    assert spec == AugmentSpec(kind="freq_mask", rate=0.2)
 
 
 def test_spec_validation():

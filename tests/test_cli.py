@@ -119,6 +119,14 @@ class TestAugment:
         assert aug.channel_names == ["ch0", "ch1"]
         assert aug.timestamps == orig.timestamps == [f"t{i:06d}" for i in range(400)]
 
+    @pytest.mark.parametrize("kind", ["freq_mask", "freq_mix"])
+    def test_one_row_series(self, tmp_path, kind):
+        # One row is one window of one column: b = 0, the whole row is horizon.
+        src, out = tmp_path / "one.csv", tmp_path / "aug.csv"
+        assert run_cli("synth", "--out", str(src), "--length", "1") == 0
+        assert run_cli("augment", "--in", str(src), "--out", str(out), "--kind", kind) == 0
+        assert load_csv(out).values.shape == (1, 1)
+
     def test_keeps_header_and_dates(self, tmp_path):
         # The date column in the middle, a name and a date holding a comma.
         src, out = tmp_path / "in.csv", tmp_path / "aug.csv"

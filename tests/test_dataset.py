@@ -428,6 +428,7 @@ def test_span_windows_may_end_at_the_last_column():
 @pytest.mark.parametrize("name,value,least", [
     ("b", 2.5, 1), ("b", True, 1), ("b", 0, 1), ("n", np.float64(3.0), 1),
     ("n", np.True_, 0), ("n", "3", 1), ("n", None, 0), ("seed", -1, 0),
+    ("n", np.int64(-1), 0), ("n", 2, 3),
 ])
 def test_check_count_rejects_non_counts_naming_them(name, value, least):
     with pytest.raises(ValueError, match=re.escape(
@@ -480,6 +481,19 @@ def test_window_sample_split():
     np.testing.assert_array_equal(sample.horizon, window[:, 4:])
     assert sample.lookback.shape == (2, 4) and sample.horizon.shape == (2, 2)
     np.testing.assert_array_equal(sample.concat(), window)
+
+
+@pytest.mark.parametrize("b", [8, 20])
+def test_windows_rejects_a_look_back_as_long_as_the_window(b):
+    # b = 20 made look-backs of all 8 columns and empty horizons.
+    with pytest.raises(ValueError, match=re.escape(f"b must be < the window length 8, got {b}")):
+        Windows(np.zeros((3, 1, 8)), b)
+
+
+@pytest.mark.parametrize("b", [0, 7])
+def test_windows_accepts_a_look_back_shorter_than_the_window(b):
+    ws = Windows(np.zeros((3, 1, 8)), b)
+    assert ws.lookback.shape == (3, 1, b) and ws.horizon.shape == (3, 1, 8 - b)
 
 
 def test_windows_set_access():
@@ -564,6 +578,21 @@ def test_generate_rejects_a_negative_or_non_finite_noise_std(noise_std):
     with pytest.raises(ValueError, match=re.escape(
             f"noise_std must be finite and >= 0, got {noise_std!r}")):
         generate(SynthSpec(length=10, noise_std=noise_std))
+
+
+@pytest.mark.parametrize("shift_at", [10, 50])
+def test_generate_rejects_a_shift_at_or_past_the_end(shift_at):
+    # It was silently ignored: the series came out unshifted.
+    with pytest.raises(ValueError, match=re.escape(
+            f"shift_at must be < length 10, got {shift_at}")):
+        generate(SynthSpec(length=10, shift_at=shift_at, shift_delta=5.0))
+
+
+def test_generate_shift_at_the_last_column():
+    plain = generate(SynthSpec(length=10))
+    shifted = generate(SynthSpec(length=10, shift_at=9, shift_delta=5.0))
+    np.testing.assert_array_equal(shifted[:, :9], plain[:, :9])
+    np.testing.assert_array_equal(shifted[:, 9], plain[:, 9] + 5.0)
 
 
 def test_synth_csv_round_trip(tmp_path):

@@ -9,8 +9,8 @@ import pytest
 
 from conftest import assert_windows_equal
 from fraug import experiments
-from fraug.augment import AugmentSpec, asd_augment, decompose, expand_dataset
-from fraug.dataset import (TimeSeriesDataset, make_windows, span_windows,
+from fraug.augment import AugmentSpec, asd_augment, decompose, expand_dataset, freq_mask
+from fraug.dataset import (TimeSeriesDataset, Windows, make_windows, span_windows,
                            split_and_normalize, take_last_fraction)
 from fraug.experiments import (ExperimentReport, _part_bounds, _ttt_train_set,
                                cross_validate_rate, run_coldstart, run_longterm,
@@ -50,6 +50,27 @@ def calls(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def spy(monkeypatch):
+    """spy(name) wraps experiments.<name>; it returns the list of (args, result) of its calls."""
+    def wrap(name):
+        seen, real = [], getattr(experiments, name)
+
+        def spied(*args, **kwargs):
+            seen.append((args, real(*args, **kwargs)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(experiments, name, spied)
+        return seen
+
+    return wrap
+
+
+def train_val(ds, b, h):
+    """The train and validation Windows sets that cross_validate_rate takes."""
+    return make_windows(ds, "train", b, h), make_windows(ds, "val", b, h)
+
+
 def fresh_fit(ds, b, h, cfg, seed, aug=None):
     """A freshly initialised model trained outside the protocols: (model, trace)."""
     model = DLinearModel.init_random(b, h, seed=seed)
@@ -85,27 +106,26 @@ class TestCopySchedule:
 
 class TestCrossValidate:
     def test_singleton_grid(self):
-        ds = small_dataset()
-        rate, per_rate, _ = cross_validate_rate(ds, b=16, h=8, kind="freq_mask",
-                                                grid=(0.3,), cfg=quick_cfg())
+        rate, per_rate, _ = cross_validate_rate(*train_val(small_dataset(), 16, 8),
+                                                kind="freq_mask", grid=(0.3,), cfg=quick_cfg())
         assert rate == 0.3
         assert list(per_rate) == [0.3]
 
     def test_picks_argmin(self):
-        ds = small_dataset()
-        rate, per_rate, _ = cross_validate_rate(ds, b=16, h=8, kind="freq_mask",
-                                                grid=(0.1, 0.3), cfg=quick_cfg())
+        rate, per_rate, _ = cross_validate_rate(*train_val(small_dataset(), 16, 8),
+                                                kind="freq_mask", grid=(0.1, 0.3),
+                                                cfg=quick_cfg())
         best = min(per_rate, key=lambda r: per_rate[r].mse)
         assert rate == best
 
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="empty rate grid"):
-            cross_validate_rate(small_dataset(), 16, 8, "freq_mask", grid=())
+            cross_validate_rate(*train_val(small_dataset(), 16, 8), "freq_mask", grid=())
 
     def test_chosen_fit_equals_a_fresh_train(self):
         ds = small_dataset()
         rate, per_rate, (model, trace) = cross_validate_rate(
-            ds, 16, 8, "freq_mix", grid=(0.1, 0.3), cfg=quick_cfg(), seed=3)
+            *train_val(ds, 16, 8), "freq_mix", grid=(0.1, 0.3), cfg=quick_cfg(), seed=3)
         ref_model, ref_trace = fresh_fit(ds, 16, 8, quick_cfg(), 3,
                                          AugmentSpec(kind="freq_mix", rate=rate))
         for name, value in ref_model.params().items():
@@ -114,7 +134,7 @@ class TestCrossValidate:
         assert per_rate[rate] == evaluate(ref_model, make_windows(ds, "val", 16, 8))
 
     def test_repeated_rate_trains_once(self, calls):
-        rate, per_rate, _ = cross_validate_rate(small_dataset(), 16, 8, "freq_mask",
+        rate, per_rate, _ = cross_validate_rate(*train_val(small_dataset(), 16, 8), "freq_mask",
                                                 grid=(0.3, 0.1, 0.3), cfg=quick_cfg())
         assert calls["train"] == 2
         assert list(per_rate) == [0.1, 0.3] and rate in per_rate
@@ -157,9 +177,9 @@ class TestLongterm:
         rep = run_longterm(ds, horizons=[8], kinds=["freq_mask"], b=16,
                            cfg=quick_cfg(), seeds=(3,), select_rates=True,
                            rate_grid=grid)
-        _, seed3, _ = cross_validate_rate(ds, 16, 8, "freq_mask", grid=grid,
+        _, seed3, _ = cross_validate_rate(*train_val(ds, 16, 8), "freq_mask", grid=grid,
                                           cfg=quick_cfg(), seed=3)
-        _, seed0, _ = cross_validate_rate(ds, 16, 8, "freq_mask", grid=grid,
+        _, seed0, _ = cross_validate_rate(*train_val(ds, 16, 8), "freq_mask", grid=grid,
                                           cfg=quick_cfg(), seed=0)
         assert rep.rate_val_mse["freq_mask/8"] == {r: m.mse for r, m in seed3.items()}
         assert rep.rate_val_mse["freq_mask/8"] != {r: m.mse for r, m in seed0.items()}
@@ -190,6 +210,24 @@ class TestLongterm:
                      seeds=seeds, select_rates=True, rate_grid=grid)
         H, S, K, G = len(horizons), len(seeds), len(kinds), len(grid)
         assert calls["train"] == H * (S + K * (G + S - 1))
+
+    def test_every_set_made_before_the_first_fit(self, calls, spy):
+        # h=60 leaves no window in the 43-row validation split of a 432-row series.
+        made = spy("make_windows")
+        with pytest.raises(ValueError, match="window exceeds split"):
+            run_longterm(small_dataset(length=432), horizons=[8, 60], kinds=["freq_mask"],
+                         b=16, cfg=quick_cfg(), select_rates=False)
+        assert calls["train"] == 0
+        # The spy records returned calls; the next, h=60's val set, raised.
+        assert [args[1:] for args, _ in made] == [
+            ("train", 16, 8), ("val", 16, 8), ("test", 16, 8), ("train", 16, 60)]
+
+    def test_rate_selection_reuses_the_horizons_sets(self, spy):
+        made = spy("make_windows")
+        run_longterm(small_dataset(), horizons=[4, 8], kinds=["freq_mask", "freq_mix"], b=16,
+                     cfg=TrainConfig(batch_size=64, max_epochs=1), select_rates=True,
+                     rate_grid=(0.1, 0.3))
+        assert len(made) == 3 * 2
 
     def test_json_round_trip(self):
         ds = small_dataset()
@@ -248,6 +286,16 @@ class TestColdstart:
             _, factor, t = best
             assert (cell.extra["factor"], cell.mse, cell.mae) == (factor, t.mse, t.mae)
 
+    def test_test_split_scored_once_per_kind_and_seed(self, calls, spy):
+        made, scored = spy("make_windows"), spy("evaluate")
+        run_coldstart(small_dataset(length=800), h=8, kinds=["freq_mask", "freq_mix"], b=16,
+                      fraction=0.1, factors=(2, 5, 10), cfg=quick_cfg(), seeds=(0, 1))
+        test = next(result for args, result in made if args[1] == "test")
+        assert sum(args[1] is test for args, _ in scored) == 3 * 2
+        # Each seed: the control's val and test, then per kind 3 factors' val and one test.
+        assert len(scored) == 2 * (2 + 2 * (3 + 1))
+        assert calls["train"] == 2 * (1 + 2 * 3)
+
     def test_one_expansion_per_augmented_kind_and_seed(self, calls):
         run_coldstart(small_dataset(length=800), h=8, kinds=["freq_mask", "freq_mix"], b=16,
                       fraction=0.1, factors=(2, 50, 2), cfg=quick_cfg(), seeds=(0, 1))
@@ -291,6 +339,15 @@ class TestTtt:
         ds = small_dataset(length=600)
         with pytest.raises(ValueError, match="parts must be an integer >= 2"):
             run_ttt(ds, h=4, kinds=["freq_mask"], b=8, parts=parts, cfg=quick_cfg())
+
+    def test_rounds_made_once_before_the_loops(self, calls, spy):
+        spans, scored = spy("span_windows"), spy("evaluate")
+        rep = run_ttt(small_dataset(length=600), h=4, kinds=["freq_mask"], b=8, parts=5,
+                      cfg=quick_cfg(), seeds=(0, 1))
+        assert len(spans) == 2 * (5 - 1)
+        # Still one train and one evaluate per round, kind and seed.
+        assert calls["train"] == len(scored) == 2 * 2 * (5 - 1)
+        assert all(len(c.extra["part_losses"]) == 5 - 1 for c in rep.cells)
 
     def test_deterministic_given_seed(self):
         ds = small_dataset(length=600)
@@ -435,9 +492,9 @@ EXPERIMENTS_SOURCE = Path(experiments.__file__).read_text()
     ("class A:\n    def h(self):\n        return DLinearModel.init_random(4, 2)", {"h"}),
     ("from .forecaster import DLinearModel, train\ndef f(train_set, aug=None):\n"
      "    return train_set.b", set()),
-    (EXPERIMENTS_SOURCE.replace("        for seed in seeds:\n            part_losses",
+    (EXPERIMENTS_SOURCE.replace("        for seed in report.seeds:\n            part_losses",
                                 "        train(None, None, None, None)\n"
-                                "        for seed in seeds:\n            part_losses"),
+                                "        for seed in report.seeds:\n            part_losses"),
      {"_fit", "run_ttt"}),
 ], ids=["alias", "call", "attribute", "method", "import-and-names", "train-in-run_ttt"])
 def test_fit_detector_flags(source, where):
@@ -447,6 +504,30 @@ def test_fit_detector_flags(source, where):
 def test_only_fit_trains_a_fresh_model():
     """_fit is the one place a protocol builds a DLinearModel and calls train."""
     assert set(fit_uses(EXPERIMENTS_SOURCE)) == {"_fit"}
+
+
+def test_start_keeps_each_horizon_kind_and_seed_once():
+    rep = ExperimentReport.start("longterm", "d", 8, [8, 4, 8], ["freq_mix", "none", "freq_mix"],
+                                 [1, 0, np.int64(1)])
+    assert (rep.horizons, rep.kinds, rep.seeds) == ([8, 4], ["none", "freq_mix"], [1, 0])
+
+
+@pytest.mark.parametrize("protocol", list(RUNNERS))
+def test_repeated_horizon_kind_or_seed_trains_and_reports_once(calls, protocol):
+    run, kwargs = RUNNERS[protocol]
+    if protocol == "longterm":
+        kwargs = {**kwargs, "horizons": [8, 8]}
+    rep = run(small_dataset(length=600), kinds=["freq_mask", "freq_mask"], b=16,
+              cfg=quick_cfg(), seeds=(0, 0, 1), **kwargs)
+    trained = calls["train"]
+    once = run(small_dataset(length=600), kinds=["freq_mask"], b=16, cfg=quick_cfg(),
+               seeds=(0, 1), **RUNNERS[protocol][1])
+    assert [(c.kind, c.h, c.seed, c.mse) for c in rep.cells] == [
+        (c.kind, c.h, c.seed, c.mse) for c in once.cells]
+    assert (rep.horizons, rep.kinds, rep.seeds) == ([8], ["none", "freq_mask"], [0, 1])
+    # Summary lines carry each median MSE, so seed 0 is counted once.
+    assert rep.summary_lines() == once.summary_lines()
+    assert calls["train"] == 2 * trained
 
 
 def test_report_median_over_seeds():
@@ -480,6 +561,9 @@ COUNT_SITES = {
     "generate.channels": ("channels", 1, lambda v: generate(SynthSpec(length=10, channels=v))),
     "generate.seed": ("seed", 0, lambda v: generate(SynthSpec(length=10, seed=v))),
     "generate.shift_at": ("shift_at", 0, lambda v: generate(SynthSpec(length=10, shift_at=v))),
+    "Windows.b": ("b", 0, lambda v: Windows(np.zeros((2, 1, 8)), v)),
+    "freq_mask.keep_top": ("keep_top", 0, lambda v: freq_mask(
+        np.zeros((1, 8)), 0.2, np.random.default_rng(0), keep_top=v)),
 }
 
 
