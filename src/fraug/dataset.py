@@ -207,10 +207,12 @@ class Windows:
     set copied by one fancy index, and iteration yields WindowSamples in order.
     ``ws.lookback`` and ``ws.horizon`` are (n, C, b) and (n, C, h) views;
     ``ws.lookback[idx]`` is one fancy index, a contiguous copy of the
-    look-backs at ``idx``. b is a count with 0 <= b < b+h.
+    look-backs at ``idx``. data is 3-D; b is a count with 0 <= b < b+h.
     """
 
     def __init__(self, data, b):
+        if data.ndim != 3:
+            raise ValueError(f"Windows data must be an (n, C, L) array, got shape {data.shape}")
         check_count("b", b, 0)
         if b >= data.shape[2]:
             raise ValueError(f"b must be < the window length {data.shape[2]}, got {b}")

@@ -3,9 +3,10 @@
 Every protocol trains a no-augmentation control under the same seeds and
 schedule as each augmented run, so improvement ratios are always
 well-defined. Each runner makes its ExperimentReport with
-ExperimentReport.start and records every cell through its add method;
-the report writes itself as report.json plus the flat CSV traces
-trace.csv and, for ttt, ttt_parts.csv.
+ExperimentReport.start, then its plan, one AugmentSpec per augmented
+kind and rate, before its first fit, and records every cell through
+its add method; the report writes itself as report.json plus the flat
+CSV traces trace.csv and, for ttt, ttt_parts.csv.
 """
 
 import csv
@@ -161,6 +162,10 @@ def run_longterm(ds, horizons, kinds, b=96, cfg=None, seeds=(0,),
     rate, and its winning fit is that seed's cell; else fixed_rate is used.
     """
     report = ExperimentReport.start("longterm", dataset_id, b, horizons, kinds, seeds)
+    rates = sorted(set(rate_grid)) if select_rates else [fixed_rate]
+    if report.kinds[1:] and not rates:
+        raise ValueError("empty rate grid")
+    plan = {(k, r): AugmentSpec(kind=k, rate=r) for k in report.kinds[1:] for r in rates}
     # Every horizon's sets first, so one with no window fails before any fit.
     sets = [(h, *(make_windows(ds, split, b, h) for split in ("train", "val", "test")))
             for h in report.horizons]
@@ -171,7 +176,7 @@ def run_longterm(ds, horizons, kinds, b=96, cfg=None, seeds=(0,),
                 rate, per_rate, fit = cross_validate_rate(
                     train_samples, val_samples, kind, rate_grid, cfg, report.seeds[0])
                 report.rate_val_mse[f"{kind}/{h}"] = {r: m.mse for r, m in per_rate.items()}
-            aug = None if kind == "none" else AugmentSpec(kind=kind, rate=rate)
+            aug = None if kind == "none" else plan[(kind, rate)]
             for i, seed in enumerate(report.seeds):
                 model, trace = (fit if i == 0 and fit is not None else
                                 _fit(b, h, train_samples, val_samples, cfg, seed, aug))
@@ -199,11 +204,11 @@ def run_coldstart(ds, h, kinds, b=96, fraction=0.01, factors=(2, 50),
     train_small = take_last_fraction(all_train, fraction)
     val_samples = make_windows(ds, "val", b, h)
     test_samples = make_windows(ds, "test", b, h)
+    plan = {(k, rate): AugmentSpec(kind=k, rate=rate) for k in report.kinds[1:]}
     for kind in report.kinds:
-        spec = AugmentSpec(kind=kind, rate=rate)
         for seed in report.seeds:
             expanded = train_small if kind == "none" else expand_dataset(
-                train_small, spec, max(factors), np.random.default_rng(seed))
+                train_small, plan[(kind, rate)], max(factors), np.random.default_rng(seed))
             best = None
             for factor in (1,) if kind == "none" else dict.fromkeys(factors):
                 model, _ = _fit(b, h, expanded[:factor * len(train_small)],
@@ -276,16 +281,17 @@ def run_ttt(ds: TimeSeriesDataset, h, kinds, b=96, parts=20, cfg=None,
     # No part is shorter than part 0, so every round holds windows if part 0 does.
     if bounds[0][1] <= b + h:
         raise ValueError(f"part 0 of length {bounds[0][1]} must be longer than b+h = {b + h}")
-    rounds = [(span_windows(ds.values, 0, bounds[i - 1][1], b, h),
-               span_windows(ds.values, *bounds[i], b, h)) for i in range(1, parts)]
+    plan = {(k, rate): AugmentSpec(kind=k, rate=rate) for k in report.kinds[1:]}
+    rounds = [(past := span_windows(ds.values, 0, bounds[i - 1][1], b, h),
+               past[-max(1, len(past) // 10):], span_windows(ds.values, *bounds[i], b, h))
+              for i in range(1, parts)]
     for kind in report.kinds:
         for seed in report.seeds:
             part_losses, part_maes = [], []
-            for i, (train_samples, test_samples) in enumerate(rounds, start=1):
+            for i, (train_samples, val_samples, test_samples) in enumerate(rounds, start=1):
                 train_set = train_samples if kind == "none" else _ttt_train_set(
-                    train_samples, bounds[:i], AugmentSpec(kind=kind, rate=rate),
+                    train_samples, bounds[:i], plan[(kind, rate)],
                     np.random.default_rng((seed, i)))
-                val_samples = train_samples[-max(1, len(train_samples) // 10):]
                 model, _ = _fit(b, h, train_set, val_samples, cfg, seed)
                 m = evaluate(model, test_samples)
                 part_losses.append(m.mse)

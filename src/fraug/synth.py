@@ -31,7 +31,8 @@ def generate(spec: SynthSpec):
     """(C, T) float64 array of synthetic channels.
 
     Channels differ by a deterministic phase offset so multichannel
-    datasets are not degenerate copies.
+    datasets are not degenerate copies. A bad field raises, naming it;
+    finite fields can still overflow to a non-finite series.
     """
     for name, least in (("length", 1), ("channels", 1), ("seed", 0)):
         dataset.check_count(name, getattr(spec, name), least)
@@ -42,6 +43,13 @@ def generate(spec: SynthSpec):
     # Written as not (...) so NaN fails too.
     if not 0 <= spec.noise_std < math.inf:
         raise ValueError(f"noise_std must be finite and >= 0, got {spec.noise_std!r}")
+    for i, tone in enumerate(spec.tones):
+        if np.shape(tone) != (2,) or not (0 < tone[0] < math.inf and math.isfinite(tone[1])):
+            raise ValueError(f"tones[{i}] must be a (period, amplitude) pair of finite "
+                             f"numbers with period > 0, got {tone!r}")
+    for name in ("trend_slope", "shift_delta"):
+        if not math.isfinite(getattr(spec, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(spec, name)!r}")
     rng = np.random.default_rng(spec.seed)
     t = np.arange(spec.length, dtype=np.float64)
     out = np.zeros((spec.channels, spec.length))

@@ -496,6 +496,14 @@ def test_windows_accepts_a_look_back_shorter_than_the_window(b):
     assert ws.lookback.shape == (3, 1, b) and ws.horizon.shape == (3, 1, 8 - b)
 
 
+@pytest.mark.parametrize("shape", [(3, 8), (3, 1, 2, 4)])
+def test_windows_rejects_data_that_is_not_three_dimensional(shape):
+    # (3, 8) raised IndexError; (3, 1, 2, 4) gave a (3, 1, 2, 2) look-back.
+    with pytest.raises(ValueError, match=re.escape(
+            f"Windows data must be an (n, C, L) array, got shape {shape}")):
+        Windows(np.zeros(shape), 2)
+
+
 def test_windows_set_access():
     values = np.arange(60.0).reshape(2, 30)
     ws = span_windows(values, 3, 30, 5, 3, stride=2)
@@ -593,6 +601,34 @@ def test_generate_shift_at_the_last_column():
     shifted = generate(SynthSpec(length=10, shift_at=9, shift_delta=5.0))
     np.testing.assert_array_equal(shifted[:, :9], plain[:, :9])
     np.testing.assert_array_equal(shifted[:, 9], plain[:, 9] + 5.0)
+
+
+@pytest.mark.parametrize("tones,bad", [
+    ([(0.0, 1.0)], 0), ([(-24.0, 1.0)], 0), ([(24.0, 1.0), (float("nan"), 1.0)], 1),
+    ([(float("inf"), 1.0)], 0), ([(24.0, float("inf"))], 0), ([(24.0, 1.0), (24.0,)], 1),
+    ([24.0], 0), ([(24.0, 1.0, 0.5)], 0),
+], ids=["zero-period", "negative-period", "nan-period", "inf-period", "inf-amplitude",
+        "single", "bare-number", "triple"])
+def test_generate_rejects_a_tone_that_is_not_a_finite_pair(tones, bad):
+    # A zero period gave a NaN series; an infinite amplitude a non-finite one.
+    message = (f"tones[{bad}] must be a (period, amplitude) pair of finite numbers "
+               f"with period > 0, got {tones[bad]!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate(SynthSpec(length=10, tones=tones))
+
+
+@pytest.mark.parametrize("name", ["trend_slope", "shift_delta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_generate_rejects_a_non_finite_trend_or_shift(name, value):
+    message = f"{name} must be finite, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate(SynthSpec(length=10, shift_at=5, **{name: value}))
+
+
+def test_generate_accepts_finite_fields_and_no_tones():
+    values = generate(SynthSpec(length=10, tones=[], trend_slope=-0.5, shift_at=5,
+                                shift_delta=2.0))
+    np.testing.assert_array_equal(values[0], -0.5 * np.arange(10.0) + np.repeat([0.0, 2.0], 5))
 
 
 def test_synth_csv_round_trip(tmp_path):

@@ -439,6 +439,64 @@ def test_first_bad_argument_named(calls, run, kwargs, message):
     assert calls == {"train": 0, "factors": []}
 
 
+@pytest.mark.parametrize("run,kwargs,message", [
+    (run_longterm, dict(horizons=[8], kinds=["bogus"], select_rates=False),
+     "unknown augmentation kind 'bogus'"),
+    (run_longterm, dict(horizons=[8], kinds=["freq_mix"], rate_grid=(0.1, 0.7)),
+     "mix rate must be <= 0.5, got 0.7"),
+    (run_longterm, dict(horizons=[8], kinds=["freq_mask"], rate_grid=()), "empty rate grid"),
+    (run_coldstart, dict(h=8, kinds=["freq_mix"], rate=0.7), "mix rate must be <= 0.5, got 0.7"),
+    (run_ttt, dict(h=8, kinds=["bogus"], parts=3), "unknown augmentation kind 'bogus'"),
+], ids=["longterm-kind", "longterm-grid-rate", "longterm-empty-grid", "coldstart-rate",
+        "ttt-kind"])
+def test_bad_kind_rate_or_grid_rejected_before_any_fit(calls, run, kwargs, message):
+    # These raised after the control's fits: 1, 2, 1, 1 and 2 train calls.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(small_dataset(length=432), b=16, cfg=quick_cfg(), **kwargs)
+    assert calls == {"train": 0, "factors": []}
+
+
+def test_ttt_makes_one_spec_per_augmented_kind(spy):
+    # A spec was made every round: 19 for one kind and seed at parts=20.
+    specs = spy("AugmentSpec")
+    run_ttt(small_dataset(length=600), h=4, kinds=["freq_mask"], b=8, parts=20,
+            cfg=quick_cfg(), seeds=(0,))
+    assert [args for args, _ in specs] == [()]
+    assert specs[0][1] == AugmentSpec(kind="freq_mask", rate=0.2)
+
+
+@pytest.mark.parametrize("run,kwargs", [
+    (run_longterm, dict(horizons=[8], rate_grid=())),
+    (run_longterm, dict(horizons=[8], select_rates=False, fixed_rate=2.0)),
+    (run_coldstart, dict(h=8, fraction=0.2, factors=(2,), rate=2.0)),
+    (run_ttt, dict(h=8, parts=3, rate=2.0)),
+], ids=["longterm-empty-grid", "longterm-fixed-rate", "coldstart", "ttt"])
+def test_control_only_run_checks_no_rate(run, kwargs):
+    rep = run(small_dataset(length=600), kinds=["none"], b=16, cfg=quick_cfg(), **kwargs)
+    assert [(c.kind, c.rate) for c in rep.cells] == [("none", 0.0)]
+
+
+def test_summary_lines_skip_a_kind_and_horizon_without_cells():
+    rep = ExperimentReport.start("longterm", "d", 8, [4, 8], ["freq_mask"], [0])
+    rep.add("none", 4, 0, 0.0, 1.0, 0.5)
+    rep.add("freq_mask", 8, 0, 0.3, 2.0, 0.5)
+    assert rep.summary_lines() == [
+        "protocol=longterm dataset=d b=8",
+        f"  h=4    {'none':<24} rate=0.0   median MSE=1.0000",
+        f"  h=8    {'freq_mask':<24} rate=0.3   median MSE=2.0000"]
+
+
+def test_json_turns_an_array_extra_into_a_list_and_rejects_other_objects():
+    rep = ExperimentReport.start("ttt", "d", 8, [4], [], [0])
+    rep.add("none", 4, 0, 0.0, 1.0, 0.5, losses=np.array([1.5, np.float64(2.0)]),
+            count=np.int64(3))
+    extra = json.loads(rep.to_json())["cells"][0]["extra"]
+    assert extra == {"losses": [1.5, 2.0], "count": 3}
+    rep.add("none", 4, 1, 0.0, 1.0, 0.5, model=object())
+    with pytest.raises(TypeError, match="not JSON serializable: <class 'object'>"):
+        rep.to_json()
+
+
 RUNNERS = {
     "longterm": (run_longterm, dict(horizons=[8], select_rates=False, fixed_rate=0.3)),
     "coldstart": (run_coldstart, dict(h=8, fraction=0.2, factors=(2,), rate=0.3)),
