@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Windows, WindowSample, check_count
+from .dataset import Windows, WindowSample, check_count, check_number
 from .spectral import irfft_signal, rfft_bins
 
 FREQ_KINDS = ("freq_mask", "freq_mix", "freq_mask_keep_dominant", "freq_mask_then_mix")
@@ -34,7 +34,7 @@ MIN_WINDOW = {"mbb": 2 * MBB_PERIOD, "warp": 2}
 
 @dataclass(frozen=True)
 class AugmentSpec:
-    """Which augmentation to apply and its rate."""
+    """Which augmentation to apply, and its rate: in [0, 1], in [0, 0.5] for MIX_KINDS."""
 
     kind: str = "none"
     rate: float = 0.2
@@ -42,12 +42,8 @@ class AugmentSpec:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
-        if isinstance(self.rate, bool):
-            raise ValueError(f"rate must be a number, got {self.rate!r}")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"rate must be in [0, 1], got {self.rate}")
-        if self.kind in MIX_KINDS and self.rate > 0.5:
-            raise ValueError(f"mix rate must be <= 0.5, got {self.rate}")
+        mix = self.kind in MIX_KINDS
+        check_number("mix rate" if mix else "rate", self.rate, 0.0, 0.5 if mix else 1.0)
 
 
 def freq_mask(x, mu, rng, keep_top=0):
@@ -59,8 +55,7 @@ def freq_mask(x, mu, rng, keep_top=0):
     variant).
     """
     check_count("keep_top", keep_top, 0)
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"rate must be in [0, 1], got {mu}")
+    check_number("rate", mu, 0.0, 1.0)
     c, n = x.shape
     n_bins = n // 2 + 1
     keep = rng.random(n_bins) >= mu
@@ -84,8 +79,7 @@ def freq_mix(x1, x2, mu, rng):
     """
     if x1.shape != x2.shape:
         raise ValueError(f"incompatible samples: {x1.shape} vs {x2.shape}")
-    if not 0.0 <= mu <= 0.5:
-        raise ValueError(f"mix rate must be in [0, 0.5], got {mu}")
+    check_number("mix rate", mu, 0.0, 0.5)
     n = x1.shape[1]
     keep = rng.random(n // 2 + 1) >= mu
     mixed = np.where(keep, rfft_bins(x1), rfft_bins(x2))
@@ -104,6 +98,7 @@ def baseline_augment(x, b, kind, rng, mu=0.2):
     the masking and warping baselines operate on the look-back window;
     flip negates the whole window about each channel's mean.
     """
+    check_number("rate", mu, 0.0, 1.0)
     if kind == "flip":
         return 2.0 * x.mean(axis=1, keepdims=True) - x
     out = x.copy()

@@ -21,9 +21,10 @@ import numpy as np
 
 from . import __version__
 from .augment import ALL_KINDS, MIN_WINDOW, MIX_KINDS, AugmentSpec, expand_dataset
-from .dataset import SPLIT_SCHEMES, Windows, load_csv, make_windows, split_and_normalize
+from .dataset import (SPLIT_SCHEMES, Windows, check_number, load_csv, make_windows,
+                      split_and_normalize)
 from .forecaster import DLinearModel, TrainConfig, evaluate, train
-from .experiments import run_coldstart, run_longterm, run_ttt
+from .experiments import RATE_GRID, run_coldstart, run_longterm, run_ttt
 from .spectral import amplitude_spectrum, rfft
 from .synth import SynthSpec, generate, write_csv
 
@@ -34,9 +35,8 @@ from .synth import SynthSpec, generate, write_csv
 # fraug run refuses asd under longterm for that reason.
 AUGMENT_KINDS = tuple(k for k in ALL_KINDS if k != "asd")
 PROTOCOLS = ("longterm", "coldstart", "ttt")
-# The least value of each bounded flag; fraug run's config keys read the same.
-LEAST = {"lookback": 1, "horizon": 1, "epochs": 0, "seed": 0,
-         "length": 1, "channels": 1, "noise": 0}
+# The least value of each integer flag; fraug run's config keys read the same.
+LEAST = {"lookback": 1, "horizon": 1, "epochs": 0, "seed": 0, "length": 1, "channels": 1}
 
 
 def _parse_tones(text):
@@ -46,19 +46,17 @@ def _parse_tones(text):
         try:
             period, amp = float(period), float(amp or 1.0)
         except ValueError:
-            period = amp = math.nan
-        if not (0 < period < math.inf and math.isfinite(amp)):
-            raise ValueError(f"--tones entry {part!r} is not period[:amp] with "
-                             f"finite numbers and period > 0")
+            raise ValueError(f"--tones entry {part!r} is not period[:amp]") from None
+        check_number(f"--tones entry {part!r} period", period, 0.0, math.inf, low_open=True)
+        check_number(f"--tones entry {part!r} amplitude", amp, -math.inf, math.inf)
         tones.append((period, amp))
     return tones
 
 
 def cmd_synth(args):
-    _check_least(args, "length", "channels", "seed", "noise")
-    for flag in ("noise", "trend", "shift_delta"):
-        if not math.isfinite(getattr(args, flag)):
-            raise ValueError(f"--{flag.replace('_', '-')} must be finite")
+    _check_least(args, "length", "channels", "seed")
+    for flag, low in (("noise", 0.0), ("trend", -math.inf), ("shift_delta", -math.inf)):
+        check_number(f"--{flag.replace('_', '-')}", getattr(args, flag), low, math.inf)
     if args.shift_at is not None and not 0 <= args.shift_at < args.length:
         raise ValueError(f"--shift-at must be in [0, {args.length}), got {args.shift_at}")
     spec = SynthSpec(
@@ -164,7 +162,7 @@ CONFIG = {
     "horizons": ([96], LEAST["horizon"]),
     "kinds": (["freq_mask"], ALL_KINDS),
     "rate": (0.2, None),
-    "rate_grid": ([0.1, 0.2, 0.3, 0.4, 0.5], None),
+    "rate_grid": (list(RATE_GRID), None),
     "select_rates": (False, None),
     "fraction": (0.01, None),
     "factors": ([2, 50], 1),
@@ -185,13 +183,13 @@ def _has_type(value, kind):
 def _check_config_types(config, flags=None):
     """Each value has its CONFIG default's type (dataset: str) and bound; a
     list is non-empty (kinds may be empty: the "none" control always runs)
-    and its items have the default items' type and the bound. Then
-    coldstart and ttt take one horizon, ttt at least two parts, longterm
-    no asd, 0 < fraction <= 1, every kind accepts rate (and each
-    rate_grid value under select_rates) and its windows span
-    augment.MIN_WINDOW[kind], so a bad value fails before the dataset is
-    loaded. A message names
-    the flag that set a key's value, where `flags` maps the key to one.
+    and its items have the default items' type and the bound; no float is
+    NaN or infinite, as manifest.json is strict JSON. Then coldstart and
+    ttt take one horizon, ttt at least two parts, longterm no asd,
+    0 < fraction <= 1, every kind accepts rate (and each rate_grid value
+    under select_rates) and its windows span augment.MIN_WINDOW[kind], so
+    a bad value fails before the dataset is loaded. A message names the
+    flag that set a key's value, where `flags` maps the key to one.
     """
     flags = flags or {}
     for key, (default, bound) in CONFIG.items():
@@ -207,6 +205,8 @@ def _check_config_types(config, flags=None):
         if not ok:
             raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
         for v in items:
+            if isinstance(v, float):
+                check_number(flags.get(key, f"config key {key!r}"), v, -math.inf, math.inf)
             if isinstance(bound, tuple) and v not in bound or isinstance(bound, int) and v < bound:
                 rule = f"in ({', '.join(bound)})" if isinstance(bound, tuple) else f">= {bound}"
                 where = f"{flags[key]} must be" if key in flags else f"config key {key!r} {must}"
@@ -221,9 +221,8 @@ def _check_config_types(config, flags=None):
         raise ValueError(f"{where} does not suit protocol longterm: each training step "
                          f"would run a DTW against every training window; use protocol "
                          f"coldstart or ttt, which expand once from a small set")
-    if not 0 < config["fraction"] <= 1:
-        name = flags.get("fraction", "config key 'fraction'")
-        raise ValueError(f"{name} must be in (0, 1], got {config['fraction']}")
+    check_number(flags.get("fraction", "config key 'fraction'"), config["fraction"], 0.0, 1.0,
+                 low_open=True)
     rates = [("rate", config["rate"])]
     if config["select_rates"]:
         rates += [("rate_grid", rate) for rate in config["rate_grid"]]
@@ -311,7 +310,7 @@ def cmd_run(args):
 
     manifest = {"config": config, "version": __version__,
                 "environment": _environment(args.argv)}
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, allow_nan=False))
     report.write(out_dir)
     for line in report.summary_lines():
         print(line)

@@ -37,6 +37,19 @@ def check_count(name, value, least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def check_number(name, value, low, high, low_open=False):
+    """The one rule for bounded reals: raise ValueError naming `name` unless value
+    is a real number (numpy's too, not a bool) from low to high. Infinite ends
+    are open, so NaN and +-inf never pass; low_open opens a finite low end too."""
+    real = (type(value) is float and math.isfinite(value)  # the common case, without the ABC check
+            or not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and -math.inf < value < math.inf)
+    if real and low <= value <= high and not (low_open and value == low):
+        return
+    left, right = "(" if low_open or low == -math.inf else "[", ")" if high == math.inf else "]"
+    raise ValueError(f"{name} must be a number in {left}{low:g}, {high:g}{right}, got {value!r}")
+
+
 @dataclass(eq=False)
 class TimeSeriesDataset:
     """Multichannel series with optional normalization state and split bounds.
@@ -284,7 +297,6 @@ def take_last_fraction(samples, fraction):
     """
     if not samples:
         raise ValueError("empty sample list")
-    if isinstance(fraction, bool) or not 0 < fraction <= 1:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    check_number("fraction", fraction, 0.0, 1.0, low_open=True)
     count = max(1, math.floor(fraction * len(samples)))
     return samples[-count:]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import AugmentSpec, expand_dataset
-from .dataset import check_count
+from .dataset import check_count, check_number
 
 CHECKPOINT_MAGIC = "FRAUG-DLINEAR-v1"
 # Window-channel rows per scoring block: a block holds max(1, rows // C) windows.
@@ -187,9 +187,7 @@ class TrainConfig:
         for name, least in (("batch_size", 1), ("max_epochs", 0), ("patience", 1),
                             ("seed", 0)):
             check_count(name, getattr(self, name), least)
-        # Written as not (...) so NaN fails too.
-        if isinstance(self.learning_rate, bool) or not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        check_number("learning_rate", self.learning_rate, 0.0, math.inf, low_open=True)
 
 
 @dataclass

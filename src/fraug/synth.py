@@ -40,16 +40,13 @@ def generate(spec: SynthSpec):
         dataset.check_count("shift_at", spec.shift_at, 0)
         if spec.shift_at >= spec.length:
             raise ValueError(f"shift_at must be < length {spec.length}, got {spec.shift_at}")
-    # Written as not (...) so NaN fails too.
-    if not 0 <= spec.noise_std < math.inf:
-        raise ValueError(f"noise_std must be finite and >= 0, got {spec.noise_std!r}")
+    for name, low in (("noise_std", 0.0), ("trend_slope", -math.inf), ("shift_delta", -math.inf)):
+        dataset.check_number(name, getattr(spec, name), low, math.inf)
     for i, tone in enumerate(spec.tones):
-        if np.shape(tone) != (2,) or not (0 < tone[0] < math.inf and math.isfinite(tone[1])):
-            raise ValueError(f"tones[{i}] must be a (period, amplitude) pair of finite "
-                             f"numbers with period > 0, got {tone!r}")
-    for name in ("trend_slope", "shift_delta"):
-        if not math.isfinite(getattr(spec, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(spec, name)!r}")
+        if np.shape(tone) != (2,):
+            raise ValueError(f"tones[{i}] must be a (period, amplitude) pair, got {tone!r}")
+        dataset.check_number(f"tones[{i}] period", tone[0], 0.0, math.inf, low_open=True)
+        dataset.check_number(f"tones[{i}] amplitude", tone[1], -math.inf, math.inf)
     rng = np.random.default_rng(spec.seed)
     t = np.arange(spec.length, dtype=np.float64)
     out = np.zeros((spec.channels, spec.length))

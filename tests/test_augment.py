@@ -65,8 +65,10 @@ class TestRandomMask:
         assert 0.28 < frac < 0.32
 
     @pytest.mark.parametrize("op,mu,message", [
-        (freq_mask, -0.1, "rate must be in"), (freq_mask, 1.1, "rate must be in"),
-        (freq_mix, -0.1, "mix rate must be in"), (freq_mix, 0.6, "mix rate must be in"),
+        (freq_mask, -0.1, r"^rate must be a number in \[0, 1\], got -0.1$"),
+        (freq_mask, 1.1, r"^rate must be a number in \[0, 1\], got 1.1$"),
+        (freq_mix, -0.1, r"^mix rate must be a number in \[0, 0.5\], got -0.1$"),
+        (freq_mix, 0.6, r"^mix rate must be a number in \[0, 0.5\], got 0.6$"),
     ])
     def test_rate_out_of_range_rejected(self, op, mu, message):
         args = (window(),) if op is freq_mask else (window(), window())
@@ -748,7 +750,7 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("rate", [True, False])
 def test_bool_rate_rejected(rate):
-    with pytest.raises(ValueError, match=f"^rate must be a number, got {rate}$"):
+    with pytest.raises(ValueError, match=rf"^rate must be a number in \[0, 1\], got {rate}$"):
         AugmentSpec("freq_mask", rate)
 
 

@@ -230,7 +230,7 @@ class TestAugment:
     @pytest.mark.parametrize("flag,value,message", [
         ("--seed", "-3", "--seed must be >= 0, got -3"),
         ("--rate", "1.5", "--rate does not suit --kind freq_mask: "
-                          "rate must be in [0, 1], got 1.5"),
+                          "rate must be a number in [0, 1], got 1.5"),
     ], ids=["seed", "rate"])
     def test_bad_flag_named_before_reading(self, tmp_path, capsys, flag, value, message):
         # The input does not exist: a flag checked after reading would
@@ -323,9 +323,9 @@ class TestTrain:
         ("--seed", "-3", "--seed must be >= 0, got -3"),
         ("--seed", "-1", "--seed must be >= 0, got -1"),
         ("--rate", "-0.1", "--rate does not suit --kind none: "
-                           "rate must be in [0, 1], got -0.1"),
+                           "rate must be a number in [0, 1], got -0.1"),
         ("--rate", "nan", "--rate does not suit --kind none: "
-                          "rate must be in [0, 1], got nan"),
+                          "rate must be a number in [0, 1], got nan"),
     ], ids=["lookback", "horizon", "epochs", "seed", "seed-least", "rate", "rate-nan"])
     def test_bad_flag_named_before_reading(self, tmp_path, capsys, flag, value, message):
         # The dataset does not exist: a flag checked after reading would
@@ -358,7 +358,7 @@ class TestTrain:
         rc = run_cli("train", "--dataset", str(tmp_path / "nope.csv"), "--out",
                      str(tmp_path / "model.json"), "--kind", "freq_mix", "--rate", "0.7")
         assert rc == 1
-        assert "--rate does not suit --kind freq_mix: mix rate must be <= 0.5" in (
+        assert "--rate does not suit --kind freq_mix: mix rate must be a number in [0, 0.5]" in (
             capsys.readouterr().err)
 
     def test_window_longer_than_a_split_names_flags(self, tmp_path, capsys):
@@ -417,6 +417,42 @@ class TestRun:
 
         monkeypatch.setattr(subprocess, "run", no_git)
         assert _environment(["run"])["git_sha"] is None
+
+    @pytest.mark.parametrize("show_config", [
+        lambda: None,  # numpy < 1.25 has no mode argument: mode="dicts" raises TypeError
+        lambda mode=None: {"Compilers": {}},
+    ], ids=["no-dicts-mode", "no-build-dependencies"])
+    def test_manifest_blas_is_null_without_build_dependencies(self, tmp_path, monkeypatch,
+                                                              show_config):
+        src = make_series(tmp_path)
+        out_dir = tmp_path / "run"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"dataset": str(src), "lookback": 16, "horizons": [8],
+                                      "kinds": [], "epochs": 1, "out": str(out_dir)}))
+        monkeypatch.setattr(np, "show_config", show_config)
+        assert run_cli("run", "--config", str(config)) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text(),
+                              parse_constant=reject_constant)
+        assert manifest["environment"]["blas"] is None
+
+    @pytest.mark.parametrize("config,flags,message", [
+        ({"rate_grid": [float("nan"), 0.2], "select_rates": False}, [],
+         "config key 'rate_grid' must be a number in (-inf, inf), got nan"),
+        ({"kinds": []}, ["--rate", "nan"], "--rate must be a number in (-inf, inf), got nan"),
+        ({"kinds": [], "rate": float("inf")}, [],
+         "config key 'rate' must be a number in (-inf, inf), got inf"),
+    ], ids=["grid-unselected", "rate-flag-no-kinds", "rate-key-no-kinds"])
+    def test_non_finite_float_rejected_before_output(self, tmp_path, capsys, config, flags,
+                                                     message):
+        # json.load reads NaN and Infinity, and manifest.json must be strict JSON.
+        src = make_series(tmp_path)
+        out_dir = tmp_path / "run"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dataset": str(src), "lookback": 16, "horizons": [8],
+                                    "epochs": 1, "out": str(out_dir), **config}))
+        assert run_cli("run", "--config", str(path), *flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
 
     def test_flag_overrides_config(self, tmp_path):
         src = make_series(tmp_path)
@@ -612,8 +648,8 @@ class TestRun:
         (["--seed", "-1"], "--seed must be >= 0, got -1"),
         (["--horizon", "0"], "--horizon must be >= 1, got 0"),
         (["--rate", "0.9", "--kind", "freq_mix"],
-         "--rate does not suit --kind freq_mix: mix rate must be <= 0.5, got 0.9"),
-        (["--fraction", "2"], "--fraction must be in (0, 1], got 2.0"),
+         "--rate does not suit --kind freq_mix: mix rate must be a number in [0, 0.5], got 0.9"),
+        (["--fraction", "2"], "--fraction must be a number in (0, 1], got 2.0"),
     ])
     def test_bad_flag_named(self, tmp_path, capsys, flags, message):
         # The dataset does not exist: a flag checked after reading would

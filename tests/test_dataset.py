@@ -1,6 +1,8 @@
 import csv
 import io
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -441,6 +443,31 @@ def test_check_count_accepts_python_and_numpy_integers(value):
     dataset.check_count("n", value, 0)
 
 
+@pytest.mark.parametrize("value,low,high,low_open,interval", [
+    (np.True_, 0.0, 1.0, False, "[0, 1]"), (None, 0.0, 1.0, False, "[0, 1]"),
+    (np.array(0.5), 0.0, 1.0, False, "[0, 1]"), (0, 0.0, 1.0, True, "(0, 1]"),
+    (np.float32("nan"), 0.0, math.inf, False, "[0, inf)"),
+    (np.float64("-inf"), -math.inf, math.inf, False, "(-inf, inf)"),
+    (np.int64(1), 0.0, 0.5, False, "[0, 0.5]"), (-1e-300, 0.0, 1.0, False, "[0, 1]"),
+])
+def test_check_number_rejects_non_numbers_naming_them(value, low, high, low_open, interval):
+    message = f"x must be a number in {interval}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataset.check_number("x", value, low, high, low_open)
+
+
+@pytest.mark.parametrize("value", [0, 1, 0.5, np.float16(0.5), np.int64(1), np.uint8(0),
+                                   Fraction(1, 3), 5e-324])
+def test_check_number_accepts_python_and_numpy_reals_at_closed_ends(value):
+    dataset.check_number("x", value, 0.0, 1.0)
+
+
+def test_check_number_takes_an_integer_too_large_for_a_float():
+    dataset.check_number("x", 10**400, 0.0, math.inf)
+    with pytest.raises(ValueError, match=r"^x must be a number in \[0, 1\], got 1000"):
+        dataset.check_number("x", 10**400, 0.0, 1.0)
+
+
 @pytest.mark.parametrize("span", [0, 5, 11, 12])
 def test_span_windows_empty_when_span_at_most_b_plus_h(span):
     values = np.arange(40.0)[None]
@@ -576,7 +603,8 @@ def test_take_last_fraction_errors():
 @pytest.mark.parametrize("fraction", [True, False, float("nan"), 1.5])
 def test_take_last_fraction_rejects_a_bool_or_out_of_range_fraction(fraction):
     # True would read as 1.0 and silently keep the whole set.
-    with pytest.raises(ValueError, match=re.escape(f"fraction must be in (0, 1], got {fraction}")):
+    message = f"fraction must be a number in (0, 1], got {fraction!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         take_last_fraction(list(range(10)), fraction)
 
 
@@ -584,7 +612,7 @@ def test_take_last_fraction_rejects_a_bool_or_out_of_range_fraction(fraction):
 def test_generate_rejects_a_negative_or_non_finite_noise_std(noise_std):
     # -1 and NaN generated no noise at all, and no error.
     with pytest.raises(ValueError, match=re.escape(
-            f"noise_std must be finite and >= 0, got {noise_std!r}")):
+            f"noise_std must be a number in [0, inf), got {noise_std!r}")):
         generate(SynthSpec(length=10, noise_std=noise_std))
 
 
@@ -603,16 +631,20 @@ def test_generate_shift_at_the_last_column():
     np.testing.assert_array_equal(shifted[:, 9], plain[:, 9] + 5.0)
 
 
-@pytest.mark.parametrize("tones,bad", [
-    ([(0.0, 1.0)], 0), ([(-24.0, 1.0)], 0), ([(24.0, 1.0), (float("nan"), 1.0)], 1),
-    ([(float("inf"), 1.0)], 0), ([(24.0, float("inf"))], 0), ([(24.0, 1.0), (24.0,)], 1),
-    ([24.0], 0), ([(24.0, 1.0, 0.5)], 0),
+@pytest.mark.parametrize("tones,bad,rule", [
+    ([(0.0, 1.0)], 0, " period must be a number in (0, inf), got 0.0"),
+    ([(-24.0, 1.0)], 0, " period must be a number in (0, inf), got -24.0"),
+    ([(24.0, 1.0), (float("nan"), 1.0)], 1, " period must be a number in (0, inf), got nan"),
+    ([(float("inf"), 1.0)], 0, " period must be a number in (0, inf), got inf"),
+    ([(24.0, float("inf"))], 0, " amplitude must be a number in (-inf, inf), got inf"),
+    ([(24.0, 1.0), (24.0,)], 1, " must be a (period, amplitude) pair, got (24.0,)"),
+    ([24.0], 0, " must be a (period, amplitude) pair, got 24.0"),
+    ([(24.0, 1.0, 0.5)], 0, " must be a (period, amplitude) pair, got (24.0, 1.0, 0.5)"),
 ], ids=["zero-period", "negative-period", "nan-period", "inf-period", "inf-amplitude",
         "single", "bare-number", "triple"])
-def test_generate_rejects_a_tone_that_is_not_a_finite_pair(tones, bad):
+def test_generate_rejects_a_tone_that_is_not_a_finite_pair(tones, bad, rule):
     # A zero period gave a NaN series; an infinite amplitude a non-finite one.
-    message = (f"tones[{bad}] must be a (period, amplitude) pair of finite numbers "
-               f"with period > 0, got {tones[bad]!r}")
+    message = f"tones[{bad}]{rule}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         generate(SynthSpec(length=10, tones=tones))
 
@@ -620,7 +652,7 @@ def test_generate_rejects_a_tone_that_is_not_a_finite_pair(tones, bad):
 @pytest.mark.parametrize("name", ["trend_slope", "shift_delta"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_generate_rejects_a_non_finite_trend_or_shift(name, value):
-    message = f"{name} must be finite, got {value!r}"
+    message = f"{name} must be a number in (-inf, inf), got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         generate(SynthSpec(length=10, shift_at=5, **{name: value}))
 

@@ -1,5 +1,7 @@
 import ast
 import json
+import math
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -9,7 +11,9 @@ import pytest
 
 from conftest import assert_windows_equal
 from fraug import experiments
-from fraug.augment import AugmentSpec, asd_augment, decompose, expand_dataset, freq_mask
+from fraug.augment import (AugmentSpec, asd_augment, baseline_augment, decompose,
+                           expand_dataset, freq_mask, freq_mix)
+from fraug.cli import CONFIG, _check_config_types, _parse_tones, build_parser, cmd_synth
 from fraug.dataset import (TimeSeriesDataset, Windows, make_windows, span_windows,
                            split_and_normalize, take_last_fraction)
 from fraug.experiments import (ExperimentReport, _part_bounds, _ttt_train_set,
@@ -443,9 +447,10 @@ def test_first_bad_argument_named(calls, run, kwargs, message):
     (run_longterm, dict(horizons=[8], kinds=["bogus"], select_rates=False),
      "unknown augmentation kind 'bogus'"),
     (run_longterm, dict(horizons=[8], kinds=["freq_mix"], rate_grid=(0.1, 0.7)),
-     "mix rate must be <= 0.5, got 0.7"),
+     "mix rate must be a number in [0, 0.5], got 0.7"),
     (run_longterm, dict(horizons=[8], kinds=["freq_mask"], rate_grid=()), "empty rate grid"),
-    (run_coldstart, dict(h=8, kinds=["freq_mix"], rate=0.7), "mix rate must be <= 0.5, got 0.7"),
+    (run_coldstart, dict(h=8, kinds=["freq_mix"], rate=0.7),
+     "mix rate must be a number in [0, 0.5], got 0.7"),
     (run_ttt, dict(h=8, kinds=["bogus"], parts=3), "unknown augmentation kind 'bogus'"),
 ], ids=["longterm-kind", "longterm-grid-rate", "longterm-empty-grid", "coldstart-rate",
         "ttt-kind"])
@@ -639,3 +644,101 @@ def test_count_site_rejects_a_non_count_naming_it(site, bad):
 def test_count_site_accepts_a_numpy_integer(site):
     name, least, call = COUNT_SITES[site]
     call(np.int64(least))
+
+
+def synth_flag(flag):
+    """fraug synth of 10 rows to the null device, with args.<flag> set to the value."""
+    def call(value):
+        args = build_parser().parse_args(["synth", "--out", os.devnull, "--length", "10"])
+        setattr(args, flag, value)
+        cmd_synth(args)
+    return call
+
+
+def run_config(**values):
+    """fraug run's config checks on the default config, a dataset name and `values`."""
+    _check_config_types({**{key: default for key, (default, _) in CONFIG.items()},
+                         "dataset": "series.csv", **values})
+
+
+def window():
+    return np.zeros((1, 8))
+
+
+# Inputs a site cannot receive. argparse and json.load give floats and ints:
+# never a bool, a string or a numpy float (a JSON bool fails the key's type
+# check first), and a config float that is not finite fails the float rule.
+FROM_TEXT = ("true", "false", "str")
+FROM_JSON = FROM_TEXT + ("float32",)
+# Every real-valued check in src: id -> (name in the message, its interval,
+# call, inputs it cannot receive). A name with {} holds the value's text.
+NUMBER_SITES = {
+    "AugmentSpec.rate": ("rate", "[0, 1]", lambda v: AugmentSpec("freq_mask", v), ()),
+    "AugmentSpec.rate-mix": ("mix rate", "[0, 0.5]", lambda v: AugmentSpec("freq_mix", v), ()),
+    "freq_mask.mu": ("rate", "[0, 1]", lambda v: freq_mask(
+        window(), v, np.random.default_rng(0)), ()),
+    "freq_mix.mu": ("mix rate", "[0, 0.5]", lambda v: freq_mix(
+        window(), window(), v, np.random.default_rng(0)), ()),
+    "baseline_augment.mu": ("rate", "[0, 1]", lambda v: baseline_augment(
+        window(), 4, "time_mask_random", np.random.default_rng(0), mu=v), ()),
+    "TrainConfig.learning_rate": ("learning_rate", "(0, inf)",
+                                  lambda v: TrainConfig(learning_rate=v), ()),
+    "generate.noise_std": ("noise_std", "[0, inf)",
+                           lambda v: generate(SynthSpec(length=10, noise_std=v)), ()),
+    "generate.trend_slope": ("trend_slope", "(-inf, inf)",
+                             lambda v: generate(SynthSpec(length=10, trend_slope=v)), ()),
+    "generate.shift_delta": ("shift_delta", "(-inf, inf)", lambda v: generate(
+        SynthSpec(length=10, shift_at=5, shift_delta=v)), ()),
+    "generate.tones.period": ("tones[1] period", "(0, inf)", lambda v: generate(
+        SynthSpec(length=10, tones=[(24.0, 1.0), (v, 1.0)])), ()),
+    "generate.tones.amplitude": ("tones[0] amplitude", "(-inf, inf)", lambda v: generate(
+        SynthSpec(length=10, tones=[(24.0, v)])), ()),
+    "take_last_fraction": ("fraction", "(0, 1]", lambda v: take_last_fraction([1, 2], v), ()),
+    "synth--noise": ("--noise", "[0, inf)", synth_flag("noise"), ()),
+    "synth--trend": ("--trend", "(-inf, inf)", synth_flag("trend"), ()),
+    "synth--shift-delta": ("--shift-delta", "(-inf, inf)", synth_flag("shift_delta"), ()),
+    "synth--tones.period": ("--tones entry '{}:1' period", "(0, inf)",
+                            lambda v: _parse_tones(f"{v}:1"), FROM_TEXT),
+    "synth--tones.amplitude": ("--tones entry '24:{}' amplitude", "(-inf, inf)",
+                               lambda v: _parse_tones(f"24:{v}"), FROM_TEXT),
+    "run.fraction": ("config key 'fraction'", "(0, 1]", lambda v: run_config(fraction=v),
+                     FROM_JSON + ("nan", "inf", "-inf")),
+    "run.float": ("config key 'rate'", "(-inf, inf)", lambda v: run_config(rate=v), FROM_JSON),
+    "run.float-item": ("config key 'rate_grid'", "(-inf, inf)",
+                       lambda v: run_config(rate_grid=[0.1, v]), FROM_JSON),
+}
+
+
+def number_inputs(interval):
+    """label -> value: the inputs no interval admits, then one past each finite end
+    (an open end itself), then three that `interval` admits."""
+    low, high = (float(end) for end in interval[1:-1].split(", "))
+    bad = {"true": True, "false": False, "str": "0.2", "nan": math.nan, "inf": math.inf,
+           "-inf": -math.inf}
+    if low > -math.inf:
+        bad["below"] = low if interval[0] == "(" else low - 1.0
+    if high < math.inf:
+        bad["above"] = high + 1.0
+    # 0.25 lies in every interval of NUMBER_SITES; so does 0 or, where 0 is an open end, 1.
+    good = {"float32": np.float32(0.25), "float64": np.float64(0.25),
+            "int": int(interval.startswith("(0,"))}
+    return bad, good
+
+
+def number_cases(which):
+    return [pytest.param(site, label, value, id=f"{site}-{label}")
+            for site, (_, interval, _, cannot) in NUMBER_SITES.items()
+            for label, value in number_inputs(interval)[which].items() if label not in cannot]
+
+
+@pytest.mark.parametrize("site,label,value", number_cases(0))
+def test_number_site_rejects_a_bad_value_naming_it(site, label, value):
+    name, interval, call, _ = NUMBER_SITES[site]
+    message = f"{name.format(value)} must be a number in {interval}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("site,label,value", number_cases(1))
+def test_number_site_accepts_numpy_floats_and_an_int(site, label, value):
+    NUMBER_SITES[site][2](value)
